@@ -2,9 +2,9 @@
 
 ``repro.match.compile`` lowers alpha tests and join/negation predicates
 into generated code: each two-input node gets a :class:`JoinKernel`
-executing a selectivity-ordered, CORGI-bounded :class:`JoinPlan` over the
-columnar LEFT/RIGHT memories (hash-build over the equality value columns,
-residual tests evaluated only inside matching buckets), and each alpha
+executing a selectivity-ordered, CORGI-bounded :class:`JoinPlan` against
+the LEFT/RIGHT memories' persistent hash indexes (one bucket lookup per
+probe, residual tests evaluated only inside that bucket), and each alpha
 predicate becomes one ``compile()``-generated test.  The interpreted AST
 walk stays the bit-for-bit reference.
 
@@ -14,8 +14,12 @@ properties:
 
 * batched compiled propagation performs **at least 2x fewer
   interpreter-dispatch operations** (the ``comparisons`` counter: one per
-  interpreted test evaluation, one per kernel key build or in-bucket
-  residual) than the interpreted nested scan;
+  interpreted test evaluation, one per in-bucket residual) than the
+  interpreted nested scan;
+* tuple-at-a-time over a resident inventory, the compiled probe count
+  per event (``comparisons + index_lookups``) grows **less than 1.5x
+  when the inventory grows 4x** — a keyed probe costs a bucket, a scan
+  the memory;
 * compiled kernels never do *more* counted work than the interpreter,
   at any batch size;
 * conflict sets are bit-identical between modes in every paired run.
@@ -91,9 +95,32 @@ class TestA7Shape:
 
     def test_conflict_sets_identical_across_modes_and_strategies(self, rows):
         # report_a7 asserts compiled == interpreted inside each pairing;
-        # the published rows must also agree across strategies/batches.
-        sizes = {row["conflict_size"] for row in rows}
-        assert len(sizes) == 1, sizes
+        # the published rows must also agree across strategies/batches
+        # of one workload.
+        for inventory in {row["inventory"] for row in rows}:
+            sizes = {
+                row["conflict_size"]
+                for row in rows
+                if row["inventory"] == inventory
+            }
+            assert len(sizes) == 1, (inventory, sizes)
+
+    def test_indexed_probe_cost_is_flat_in_the_inventory(self, rows):
+        for strategy in RETE_FAMILY:
+            small, large = sorted(
+                (
+                    row
+                    for row in rows
+                    if row["strategy"] == strategy and row["inventory"] != "-"
+                ),
+                key=lambda row: row["inventory"],
+            )
+            assert large["inventory"] >= 4 * small["inventory"]
+            assert large["probes/event"] < 1.5 * small["probes/event"], (
+                small, large,
+            )
+            # ... while the interpreted scan pays for every resident row.
+            assert large["interp_cmp"] > 4 * small["interp_cmp"]
 
     def test_uncompiled_reference_rows_are_untouched(self, rows):
         """The patterns strategy never compiles: its counters must be

@@ -38,9 +38,11 @@ from repro.workload.generator import (
     generate_program,
 )
 from repro.workload.programs import (
+    INVENTORY_PROGRAM,
     chain_program,
     contended_rules_program,
     independent_rules_program,
+    inventory_events,
 )
 
 Report = tuple[str, list[dict]]
@@ -572,33 +574,47 @@ def report_a7(
     stream_length: int = 1000,
     batch_sizes: tuple[int, ...] = (1, 64),
     strategies: tuple[str, ...] = ("rete", "rete-shared", "patterns"),
+    inventories: tuple[int, ...] = (250, 1000),
 ) -> Report:
     """Per-rule compiled kernels against the interpreted AST walk.
 
     The A5 churn workload is driven through each strategy twice — compile
-    off (the interpreted reference) and compile on (columnar hash-probe
-    kernels plus generated alpha tests).  ``comparisons`` counts
-    interpreter-dispatch operations: one per predicate/test evaluation
-    interpreted, one per hash-key build or in-bucket residual compiled —
-    the span-countable work the lowering removes.  Conflict sets are
+    off (the interpreted reference scan) and compile on (generated alpha
+    tests plus join kernels probing the memories' persistent hash
+    indexes).  ``comparisons`` counts interpreter-dispatch operations:
+    one per predicate/test evaluation interpreted, one per in-bucket
+    residual compiled; ``probes/event`` is the compiled run's
+    ``comparisons + index_lookups`` per event.  Conflict sets are
     bit-identical in every paired row; only the operation counts and
     wall-clock change.
+
+    The ``inventory`` rows (Rete family only) run tuple-at-a-time over
+    :data:`INVENTORY_PROGRAM` with a resident inventory of that many
+    tuples: a scan's cost per event grows with the inventory, an indexed
+    probe's does not — ``probes/event`` stays flat as the inventory grows
+    fourfold (gated by ``tools/bench_smoke.py``).
     """
     from repro.obs import Observability
     from repro.workload.generator import mixed_stream
 
     spec = WorkloadSpec(rules=15, classes=5, seed=23)
-    workload = generate_program(spec)
+    program = generate_program(spec).program
     stream = mixed_stream(spec, stream_length, delete_fraction=0.25)
+    workloads = [(program, stream, size, "-") for size in batch_sizes]
+    for inventory in inventories:
+        events = inventory_events(inventory, stream_length // 4, seed=23)
+        workloads.append((INVENTORY_PROGRAM, events, 1, inventory))
     rows: list[dict] = []
     for strategy_name in strategies:
-        for batch_size in batch_sizes:
+        for source, events, batch_size, inventory in workloads:
+            if inventory != "-" and not strategy_name.startswith("rete"):
+                continue
             runs = {}
             for mode in ("off", "on"):
                 obs = Observability(collect_metrics=True)
                 runs[mode] = run_stream(
-                    workload.program,
-                    stream,
+                    source,
+                    events,
                     strategy_name,
                     obs=obs,
                     batch_size=batch_size,
@@ -614,6 +630,7 @@ def report_a7(
                 {
                     "strategy": strategy_name,
                     "batch": batch_size,
+                    "inventory": inventory,
                     "interp_cmp": comparisons["off"],
                     "compiled_cmp": comparisons["on"],
                     "cmp_ratio": (
@@ -621,6 +638,9 @@ def report_a7(
                         if comparisons["on"]
                         else 0.0
                     ),
+                    "probes/event": (
+                        comparisons["on"] + compiled.counters["index_lookups"]
+                    ) / len(events),
                     "interp_ms": reference.wall_seconds * 1000,
                     "compiled_ms": compiled.wall_seconds * 1000,
                     "conflict_size": compiled.conflict_size,

@@ -186,13 +186,50 @@ class ReplayResult:
     rete_memories: dict[tuple, dict] = field(default_factory=dict)
 
 
+def rete_index_faults(network) -> list[str]:
+    """Persistent join indexes that disagree with a scan of their memory.
+
+    Every bucket must be exactly the key-filtered, insertion-ordered scan
+    of its memory: no zombie or missing rows, no empty buckets, and no
+    token indexed under an empty (negated-CE) slot.  Empty when healthy
+    — which is why it can sit in the snapshot every cell is compared on.
+    """
+    faults = []
+    for amem in network.alpha_memories:
+        for positions, index in amem.indexes.items():
+            expected: dict[tuple, list[int]] = {}
+            for row in amem.rows():
+                values = amem.wme_at(row).values
+                key = tuple(values[position] for position in positions)
+                expected.setdefault(key, []).append(row)
+            if index != expected:
+                faults.append(f"{amem.name} on {positions}")
+    for bmem in network.beta_memories:
+        for spec, index in bmem.indexes.items():
+            expected = {}
+            for row in bmem.rows():
+                wmes = [bmem.slot_column(slot)[row] for slot, _ in spec]
+                if None not in wmes:
+                    key = tuple(
+                        wme.values[position]
+                        for wme, (_, position) in zip(wmes, spec)
+                    )
+                    expected.setdefault(key, []).append(row)
+            if index != expected:
+                faults.append(f"{bmem.name} on {spec}")
+    return faults
+
+
 def rete_memory_snapshot(strategy) -> dict:
     """Canonical contents of every Rete memory, comparable across runs.
 
     Alpha memories as WME-key sets, beta memories as multisets of token
-    tid chains, negative nodes as (chain, witness-set) multisets, and the
+    tid chains, negative nodes as (chain, witness-set) multisets, the
     persisted LEFT/RIGHT mirror relations as multisets of row *values*
-    (mirror row tids depend on write order, the values do not).
+    (mirror row tids depend on write order, the values do not), and the
+    join indexes' faults (:func:`rete_index_faults`; ``[]`` in every
+    healthy cell, so a compiled cell with a stale index diverges from
+    the interpreted reference, which has none).
     """
     network = strategy.network
 
@@ -229,7 +266,8 @@ def rete_memory_snapshot(strategy) -> dict:
         for mirror in network.mirrors
     }
     return {
-        "alpha": alpha, "beta": beta, "negative": negative, "mirrors": mirrors
+        "alpha": alpha, "beta": beta, "negative": negative,
+        "mirrors": mirrors, "index_faults": rete_index_faults(network),
     }
 
 

@@ -12,19 +12,17 @@ per candidate pair.  This module lowers both at *attach* time:
   non-string under either), ordering guarded by the same ``_orderable``
   rules as :func:`~repro.storage.predicate.compare`.
 * :func:`plan_join` splits a node's join tests into the *equality subset*
-  (hash-indexable — ``compare("=")`` agrees with dict-key equality, the
-  invariant ``NegativeNode.hash_eligible`` already relies on) and the
-  *residual*, ordered by operator selectivity, and rejects any plan that
-  would exceed the CORGI-style quadratic per-probe envelope
+  (hash-indexable — ``compare("=")`` agrees with dict-key equality) and
+  the *residual*, ordered by operator selectivity, and rejects any plan
+  that would exceed the CORGI-style quadratic per-probe envelope
   (:class:`PlanBoundError`).
-* :class:`JoinKernel` executes a plan over the columnar memories: one
-  hash build over the opposing memory's value columns plus one probe per
-  token — O(T + R + output) instead of the O(T × R) interpreted scan —
-  with residual tests filtered inside each bucket.  Pair order is
-  bit-identical to the interpreted nested loop (token-major on LEFT
-  activations, element-major on RIGHT; buckets preserve memory insertion
-  order), which is what keeps compiled and interpreted modes
-  snapshot-equal.
+* :class:`JoinKernel` executes a plan against the memories' persistent
+  hash indexes: a keyed probe is one bucket lookup plus the residual
+  tests inside that bucket — O(bucket) instead of the O(opposing memory)
+  interpreted scan.  Pair order is bit-identical to the interpreted
+  nested loop (token-major on LEFT activations, element-major on RIGHT;
+  buckets preserve memory insertion order), which is what keeps compiled
+  and interpreted modes snapshot-equal.
 
 Interpreted mode stays the reference: a network built with
 ``compile_mode="off"`` never touches this module, and ``"auto"`` falls
@@ -159,231 +157,96 @@ def plan_join(tests: tuple, level: int) -> JoinPlan:
 
 
 class JoinKernel:
-    """Executes one :class:`JoinPlan` over columnar LEFT/RIGHT memories.
+    """Executes one :class:`JoinPlan` against a node's LEFT/RIGHT memories.
 
-    Comparison accounting: building a hash key costs one counted
-    comparison per equality test per element (the ``_witness_key``
-    precedent), and each evaluated residual test costs one — so a keyed
-    probe counts O((T + R)·eq + candidates·residual) dispatches where the
-    interpreted scan counts O(T·R·tests).
+    A keyed (``hash``) plan registers its equality key with both
+    memories at attach time — RIGHT: the tuple of own positions; LEFT:
+    the tuple of ``(slot, other_position)`` pairs — and from then on
+    probes their persistent, incrementally maintained indexes
+    (:meth:`AlphaMemory.index_on` / :meth:`BetaMemory.index_on`).  Nodes
+    with the same key on the same memory share one index.  Key-less
+    plans (``nested``/``cross``) scan the opposing memory.
+
+    Accounting: an indexed probe counts one ``index_lookups``; each
+    residual test evaluated (inside the bucket, or per scanned partner
+    for a key-less plan) counts one ``comparisons``.  A keyed probe is
+    therefore O(bucket), where the interpreted scan counts one
+    comparison per test per opposing-memory row.
     """
 
-    __slots__ = ("plan", "label", "_eq", "_res", "_all", "_n_eq")
+    __slots__ = ("plan", "label", "bmem", "amem", "_res", "_own", "_left_key",
+                 "_lefts", "_rights")
 
-    def __init__(self, plan: JoinPlan) -> None:
+    def __init__(self, plan: JoinPlan, bmem, amem) -> None:
         self.plan = plan
         self.label = plan.kind
+        self.bmem = bmem
+        self.amem = amem
         level = plan.level
-        # spec: (left slot column, other position, own position, op, levels_up)
-        self._eq = tuple(
-            (level - t.levels_up, t.other_position, t.own_position, t.op,
-             t.levels_up)
-            for t in plan.eq_tests
-        )
+        # residual spec: (left slot column, other position, own position, op)
         self._res = tuple(
-            (level - t.levels_up, t.other_position, t.own_position, t.op,
-             t.levels_up)
+            (level - t.levels_up, t.other_position, t.own_position, t.op)
             for t in plan.residual
         )
-        self._all = self._eq + self._res
-        self._n_eq = len(self._eq)
+        self._own = tuple(t.own_position for t in plan.eq_tests)
+        self._left_key = tuple(
+            (level - t.levels_up, t.other_position) for t in plan.eq_tests
+        )
+        keyed = bool(plan.eq_tests)
+        self._lefts = bmem.index_on(self._left_key) if keyed else None
+        self._rights = amem.index_on(self._own) if keyed else None
 
-    # -- shared key/test primitives ----------------------------------------
-
-    def token_key(self, bmem, row: int, counters) -> tuple | None:
-        """The LEFT token's values at the tested slots (``None``: no key).
-
-        A ``None`` ancestor slot (negated CE upstream) fails every join
-        test, so such a token can match nothing at all.
-        """
-        key = []
-        for slot, other_pos, _own, _op, _u in self._eq:
+    def residual_ok(self, row: int, values: tuple, counters) -> bool:
+        """Do the residual tests hold between LEFT *row* and RIGHT *values*?"""
+        slots = self.bmem.slot_column
+        for slot, other_pos, own_pos, op in self._res:
             counters.comparisons += 1
-            other = bmem.slot_column(slot)[row]
-            if other is None:
-                return None
-            key.append(other.values[other_pos])
-        return tuple(key)
-
-    def wme_eq_key(self, values: tuple, counters) -> tuple:
-        """The RIGHT element's values at the equality-tested positions."""
-        counters.comparisons += self._n_eq
-        return tuple(values[own] for _s, _o, own, _op, _u in self._eq)
-
-    def residual_ok(self, bmem, row: int, values: tuple, counters) -> bool:
-        for slot, other_pos, own_pos, op, _u in self._res:
-            counters.comparisons += 1
-            other = bmem.slot_column(slot)[row]
+            other = slots(slot)[row]
             if other is None:
                 return False
             if not compare(op, values[own_pos], other.values[other_pos]):
                 return False
         return True
 
-    def pair_test(self, token, wme, counters) -> bool:
-        """Fused per-pair test for the tuple-at-a-time paths.
-
-        Walks the token chain like the interpreted ``_run_join_tests``
-        but over the precompiled, selectivity-ordered spec tuples.
-        """
+    def lefts_for(self, wme, counters) -> list:
+        """LEFT tokens joining *wme*, in LEFT-memory insertion order."""
         values = wme.values
-        for _slot, other_pos, own_pos, op, levels_up in self._all:
-            counters.comparisons += 1
-            other = token.ancestor(levels_up - 1).wme
-            if other is None:
-                return False
-            if op == "=":
-                if values[own_pos] != other.values[other_pos]:
-                    return False
-            elif not compare(op, values[own_pos], other.values[other_pos]):
-                return False
-        return True
-
-    def _right_index(self, amem, counters) -> dict:
-        """Hash-build over the RIGHT memory's equality value columns."""
-        rows = list(amem.rows())
-        counters.comparisons += self._n_eq * len(rows)
-        columns = [amem.column(own) for _s, _o, own, _op, _u in self._eq]
-        wme_at = amem.wme_at
-        index: dict[tuple, list] = {}
-        for row in rows:
-            key = tuple(column[row] for column in columns)
-            index.setdefault(key, []).append(wme_at(row))
-        return index
-
-    # -- join-node probes ---------------------------------------------------
-
-    def probe_left(self, node, tokens: list, counters) -> list:
-        """Token-major pairs for a LEFT token-set arrival."""
-        bmem, amem = node.bmem, node.amem
-        pairs: list = []
-        if self._n_eq:
-            index = self._right_index(amem, counters)
-            for token in tokens:
-                row = bmem.row_of(token)
-                key = self.token_key(bmem, row, counters)
-                if key is None:
-                    continue
-                bucket = index.get(key)
-                if not bucket:
-                    continue
-                if self._res:
-                    pairs.extend(
-                        (token, wme)
-                        for wme in bucket
-                        if self.residual_ok(bmem, row, wme.values, counters)
-                    )
-                else:
-                    pairs.extend((token, wme) for wme in bucket)
-            return pairs
-        rights = amem.wmes()
-        if not self._res:
-            return [(token, wme) for token in tokens for wme in rights]
-        for token in tokens:
-            row = bmem.row_of(token)
-            pairs.extend(
-                (token, wme)
-                for wme in rights
-                if self.residual_ok(bmem, row, wme.values, counters)
-            )
-        return pairs
-
-    def probe_right(self, node, wmes: list, counters) -> list:
-        """Element-major pairs for a RIGHT token-set arrival."""
-        bmem = node.bmem
-        pairs: list = []
-        if self._n_eq:
-            index: dict[tuple, list] = {}
-            for token, row in bmem.row_items():
-                key = self.token_key(bmem, row, counters)
-                if key is not None:
-                    index.setdefault(key, []).append((token, row))
-            for wme in wmes:
-                values = wme.values
-                bucket = index.get(self.wme_eq_key(values, counters))
-                if not bucket:
-                    continue
-                if self._res:
-                    pairs.extend(
-                        (token, wme)
-                        for token, row in bucket
-                        if self.residual_ok(bmem, row, values, counters)
-                    )
-                else:
-                    pairs.extend((token, wme) for token, _row in bucket)
-            return pairs
-        lefts = list(bmem.row_items())
-        if not self._res:
-            return [(token, wme) for wme in wmes for token, _row in lefts]
-        for wme in wmes:
-            values = wme.values
-            pairs.extend(
-                (token, wme)
-                for token, row in lefts
-                if self.residual_ok(bmem, row, values, counters)
-            )
-        return pairs
-
-    # -- negative-node witness maintenance ----------------------------------
-
-    def witness_lists(self, node, tokens: list, counters) -> list:
-        """Per-token witness candidates for a LEFT token-set arrival."""
-        bmem, amem = node.bmem, node.amem
-        lists: list = []
-        if self._n_eq:
-            index = self._right_index(amem, counters)
-            for token in tokens:
-                row = bmem.row_of(token)
-                key = self.token_key(bmem, row, counters)
-                bucket = index.get(key, ()) if key is not None else ()
-                if bucket and self._res:
-                    bucket = [
-                        wme
-                        for wme in bucket
-                        if self.residual_ok(bmem, row, wme.values, counters)
-                    ]
-                lists.append(bucket)
-            return lists
-        rights = amem.wmes()
-        for token in tokens:
-            row = bmem.row_of(token)
-            lists.append(
-                [
-                    wme
-                    for wme in rights
-                    if self.residual_ok(bmem, row, wme.values, counters)
-                ]
-                if self._res
-                else rights
-            )
-        return lists
-
-    def index_right(self, wmes: list, counters) -> dict | None:
-        """Bucket an incoming RIGHT set by equality key (``None``: no eq)."""
-        if not self._n_eq:
-            return None
-        buckets: dict[tuple, list] = {}
-        for wme in wmes:
-            buckets.setdefault(
-                self.wme_eq_key(wme.values, counters), []
-            ).append(wme)
-        return buckets
-
-    def bucket_hits(self, node, token, buckets, wmes: list, counters) -> list:
-        """The incoming RIGHT elements that witness *token*."""
-        bmem = node.bmem
-        row = bmem.row_of(token)
-        if buckets is not None:
-            key = self.token_key(bmem, row, counters)
-            candidates = buckets.get(key, ()) if key is not None else ()
+        if self._lefts is not None:
+            counters.index_lookups += 1
+            rows = self._lefts.get(tuple([values[own] for own in self._own]))
+            if not rows:
+                return []
         else:
-            candidates = wmes
+            rows = self.bmem.rows()
+        token_at = self.bmem.token_at
         if not self._res:
-            return candidates
+            return [token_at(row) for row in rows]
         return [
-            wme
-            for wme in candidates
-            if self.residual_ok(bmem, row, wme.values, counters)
+            token_at(row)
+            for row in rows
+            if self.residual_ok(row, values, counters)
+        ]
+
+    def rights_for(self, token, counters) -> list:
+        """RIGHT elements joining *token*, in RIGHT-memory insertion order."""
+        row = self.bmem.row_of(token)
+        if self._rights is not None:
+            # An empty tested slot (negated CE upstream) fails every test.
+            key = self.bmem.key_at(row, self._left_key)
+            if key is None:
+                return []
+            counters.index_lookups += 1
+            rows = self._rights.get(key)
+            if not rows:
+                return []
+            wme_at = self.amem.wme_at
+            wmes = [wme_at(at) for at in rows]
+        else:
+            wmes = self.amem.wmes()
+        if not self._res:
+            return wmes
+        return [
+            wme for wme in wmes if self.residual_ok(row, wme.values, counters)
         ]
 
 
@@ -546,8 +409,7 @@ def attach_network_kernels(network, mode: str = "auto") -> dict:
     for node in (*network.join_nodes, *network.negative_nodes):
         try:
             plan = plan_join(node.tests, node.bmem.level)
-            node.kernel = JoinKernel(plan)
-            node.plan = plan
+            node.attach_kernel(JoinKernel(plan, node.bmem, node.amem))
             summary["kernels"] += 1
         except Exception as error:
             if mode == "on":

@@ -261,8 +261,11 @@ class ReteNetwork:
     def describe(self) -> dict:
         """The node graph with live per-node gauges, JSON-ready.
 
-        ``nodes`` carries one entry per network node (memory sizes, probe
-        counts, largest batch group, negative witness counts), ``edges``
+        ``nodes`` carries one entry per network node (memory sizes and,
+        per persistent join index, its key, bucket count and largest
+        bucket — a skewed key whose probes degenerate into scans shows
+        as ``largest`` ≈ ``size``; probe counts, largest batch group,
+        negative witness counts), ``edges``
         the dataflow arcs, ``rules`` each rule's static join chain (node
         ids in LHS order), ``counts`` the aggregate totals.  This is the
         engine-side answer to "which join is hot / which memory is big"
@@ -277,6 +280,7 @@ class ReteNetwork:
                     "kind": "alpha",
                     "class": amem.class_name,
                     "size": len(amem),
+                    "indexes": _index_stats(amem.indexes),
                 }
             )
             for successor in amem.successors:
@@ -288,6 +292,7 @@ class ReteNetwork:
                     "kind": "beta",
                     "level": bmem.level,
                     "size": len(bmem),
+                    "indexes": _index_stats(bmem.indexes),
                 }
             )
             for child in bmem.children:
@@ -396,6 +401,18 @@ class ReteNetwork:
             lines.append(f'  "{src}" -> "{dst}";')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _index_stats(indexes: dict[tuple, dict]) -> list[dict]:
+    """Key, bucket count and largest bucket of each persistent index."""
+    return [
+        {
+            "on": list(spec),
+            "buckets": len(index),
+            "largest": max(map(len, index.values()), default=0),
+        }
+        for spec, index in indexes.items()
+    ]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ condition elements.
 
 Memories optionally *mirror* their contents into storage-engine tables —
 the LEFT/RIGHT relations of the paper's §3.2 DBMS implementation — so space
-and I/O accounting flows through the storage counters.
+and I/O accounting flows through the storage counters.  Like relations,
+they are probed through indexes: each equality key a compiled join uses
+gets a persistent, insertion-ordered hash index on the memory it probes,
+so a join probe costs one bucket rather than a scan of the opposing
+memory (``docs/ALGORITHMS.md`` §10.2).
 
 Two propagation granularities coexist (§4.2.3's set-orientation applied to
 the Rete family):
@@ -73,9 +77,21 @@ class JoinTest:
 
 
 class Token:
-    """A partial match: a chain of WM elements, one per condition element."""
+    """A partial match: a chain of WM elements, one per condition element.
 
-    __slots__ = ("parent", "wme", "node", "children")
+    A token's children form an intrusive circular list in creation order:
+    ``child`` is the oldest child, ``next``/``prev`` link siblings (the
+    oldest child's ``prev`` is the youngest).  Linking and unlinking are
+    O(1) with no per-token container — the dummy top token parents every
+    first-level token, so a ``list.remove`` there was a scan of them all.
+    ``wme_prev``/``wme_next`` thread the same kind of list through the
+    tokens registered under one WM element (:class:`ReteRuntime`).
+    """
+
+    __slots__ = (
+        "parent", "wme", "node", "child", "prev", "next",
+        "wme_prev", "wme_next",
+    )
 
     def __init__(
         self, parent: "Token | None", wme: StoredTuple | None, node: object
@@ -83,9 +99,40 @@ class Token:
         self.parent = parent
         self.wme = wme
         self.node = node
-        self.children: list[Token] = []
-        if parent is not None:
-            parent.children.append(self)
+        self.child: Token | None = None
+        head = parent.child if parent is not None else None
+        if head is None:
+            self.prev = self.next = self
+            if parent is not None:
+                parent.child = self
+        else:
+            tail = head.prev
+            self.prev = tail
+            self.next = head
+            tail.next = head.prev = self
+
+    def children(self) -> list["Token"]:
+        """Child tokens, oldest first."""
+        children: list[Token] = []
+        head = child = self.child
+        while child is not None:
+            children.append(child)
+            child = child.next
+            if child is head:
+                break
+        return children
+
+    def unlink(self) -> None:
+        """Leave the parent's child list."""
+        parent, following = self.parent, self.next
+        if following is self:
+            parent.child = None
+        else:
+            following.prev = self.prev
+            self.prev.next = following
+            if parent.child is self:
+                parent.child = following
+        self.prev = self.next = None  # no self-cycle left for the GC
 
     def chain(self) -> list[StoredTuple | None]:
         """WM elements from the first condition element to this level."""
@@ -166,6 +213,14 @@ class MemoryMirror:
         return len(self.table) * self.table.schema.arity
 
 
+def _unindex(index: dict, key: tuple, row: int) -> None:
+    """Drop *row* from its bucket; an emptied bucket leaves the index."""
+    bucket = index[key]
+    bucket.remove(row)
+    if not bucket:
+        del index[key]
+
+
 class AlphaMemory:
     """Stores the WM elements passing one constant-test conjunction.
 
@@ -174,8 +229,15 @@ class AlphaMemory:
     element references plus one value column per attribute position.  The
     insertion-ordered ``_index`` maps element identity to its row; deleted
     rows join a free list and are reused by later inserts, so columns never
-    shrink mid-batch and row ids stay dense.  Join kernels probe the value
-    columns directly instead of materializing per-element tuples.
+    shrink mid-batch and row ids stay dense.
+
+    Each distinct equality key a compiled join probes this memory on gets
+    one persistent hash index (:meth:`index_on`): key values → a bucket
+    of row ids in admission order, maintained on every admit and retract.
+    A bucket is always the key-filtered, insertion-ordered scan of the
+    memory, so an indexed probe yields exactly the pair sequence the scan
+    would.  Buckets are plain lists — eight bytes a row; unlinking a row
+    costs a walk of its own bucket, the same bound as a probe of it.
     """
 
     def __init__(
@@ -198,7 +260,27 @@ class AlphaMemory:
             [[] for _ in range(arity)] if arity is not None else None
         )
         self._free: list[int] = []
+        #: Persistent join indexes: key positions → {key → row bucket}.
+        self.indexes: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
         self.successors: list[JoinNode | NegativeNode] = []
+
+    def index_on(self, positions: tuple[int, ...]) -> dict[tuple, list[int]]:
+        """The persistent index keyed by the values at *positions*.
+
+        Created (over the current contents) on first demand; two nodes
+        probing on the same positions share one index.
+        """
+        index = self.indexes.get(positions)
+        if index is None:
+            index = self.indexes[positions] = {}
+            for row in self._index.values():
+                self._index_row(positions, index, row)
+        return index
+
+    def _index_row(self, positions: tuple, index: dict, row: int) -> None:
+        values = self._wme_rows[row].values
+        key = tuple([values[position] for position in positions])
+        index.setdefault(key, []).append(row)
 
     def _admit(self, wme: StoredTuple) -> None:
         if self._columns is None:
@@ -214,6 +296,8 @@ class AlphaMemory:
                 column.append(value)
             row = len(self._wme_rows) - 1
         self._index[wme_key(wme)] = row
+        for positions, index in self.indexes.items():
+            self._index_row(positions, index, row)
 
     def try_activate(self, wme: StoredTuple) -> bool:
         """Run the constant test; admit and propagate on success."""
@@ -295,6 +379,10 @@ class AlphaMemory:
         row = self._index.pop(wme_key(wme), None)
         if row is None:
             return False
+        values = self._wme_rows[row].values
+        for positions, index in self.indexes.items():
+            key = tuple([values[position] for position in positions])
+            _unindex(index, key, row)
         self._wme_rows[row] = None
         for column in self._columns or ():
             column[row] = None
@@ -339,6 +427,12 @@ class BetaMemory:
     :meth:`remove_token` O(1) instead of the former ``list.remove`` scan.
     A join test ``levels_up`` above a candidate reads slot column
     ``level - levels_up`` directly — no token-chain pointer chase.
+
+    As on :class:`AlphaMemory`, each distinct equality key a compiled
+    join probes this memory on — a tuple of ``(slot, position)`` pairs —
+    gets one persistent index of row-id buckets in admission order.  A
+    token with an empty tested slot (a negated CE upstream) fails every
+    join test and is never indexed.
     """
 
     def __init__(
@@ -358,8 +452,38 @@ class BetaMemory:
             [] for _ in range(level)
         ]
         self._free: list[int] = []
+        #: Persistent join indexes: ``(slot, position)`` spec → {key →
+        #: row bucket}.
+        self.indexes: dict[tuple, dict[tuple, list[int]]] = {}
         self.children: list[JoinNode | NegativeNode] = []
         self.dummy_token: Token | None = None
+
+    def index_on(
+        self, spec: tuple[tuple[int, int], ...]
+    ) -> dict[tuple, list[int]]:
+        """The persistent index keyed by ``(slot, position)`` values."""
+        index = self.indexes.get(spec)
+        if index is None:
+            index = self.indexes[spec] = {}
+            for row in self._order.values():
+                self._index_row(spec, index, row)
+        return index
+
+    def _index_row(self, spec: tuple, index: dict, row: int) -> None:
+        key = self.key_at(row, spec)
+        if key is not None:
+            index.setdefault(key, []).append(row)
+
+    def key_at(self, row: int, spec: tuple) -> tuple | None:
+        """The *spec* key of the token at *row* (``None``: empty slot)."""
+        key = []
+        slots = self._slots
+        for slot, position in spec:
+            wme = slots[slot][row]
+            if wme is None:
+                return None
+            key.append(wme.values[position])
+        return tuple(key)
 
     def _admit(self, token: Token, chain: list[StoredTuple | None]) -> None:
         if self._free:
@@ -373,6 +497,8 @@ class BetaMemory:
                 slot.append(wme)
             row = len(self._token_rows) - 1
         self._order[token] = row
+        for spec, index in self.indexes.items():
+            self._index_row(spec, index, row)
 
     def make_dummy(self) -> Token:
         """Install the dummy top token (for the network root)."""
@@ -425,6 +551,10 @@ class BetaMemory:
 
     def remove_token(self, token: Token) -> None:
         row = self._order.pop(token)
+        for spec, index in self.indexes.items():
+            key = self.key_at(row, spec)
+            if key is not None:
+                _unindex(index, key, row)
         self._token_rows[row] = None
         for slot in self._slots:
             slot[row] = None
@@ -438,9 +568,12 @@ class BetaMemory:
         """The stored tokens, in insertion order."""
         return list(self._order)
 
-    def row_items(self):
-        """(token, row) pairs in insertion order (kernel probes)."""
-        return self._order.items()
+    def rows(self):
+        """Live row ids, in insertion order (kernel probes)."""
+        return self._order.values()
+
+    def token_at(self, row: int) -> Token | None:
+        return self._token_rows[row]
 
     def row_of(self, token: Token) -> int:
         return self._order[token]
@@ -522,8 +655,18 @@ def _fanout_pool(runtime: "ReteRuntime | None", size: int):
     return None
 
 
-class JoinNode:
-    """Two-input node joining a beta memory (LEFT) and alpha memory (RIGHT)."""
+class _TwoInputNode:
+    """Shared state of join and negative nodes: LEFT beta, RIGHT alpha.
+
+    Every activation reaches the opposing memory through two primitives —
+    :meth:`lefts_for` (LEFT tokens joining one element) and
+    :meth:`rights_for` (RIGHT elements joining one token) — which return
+    partners in the opposing memory's insertion order.  The methods here
+    are the interpreted reference scan over ``_run_join_tests``; attaching
+    a compiled :class:`repro.match.compile.JoinKernel` rebinds both, on
+    the node, to the kernel's versions: one bucket lookup in the memory's
+    persistent index plus in-bucket residual tests.
+    """
 
     def __init__(
         self,
@@ -543,7 +686,8 @@ class JoinNode:
         amem.successors.append(self)
         self.runtime: ReteRuntime | None = None
         #: Compiled join kernel + plan (``repro.match.compile``); ``None``
-        #: keeps the interpreted ``_run_join_tests`` reference path.
+        #: keeps the interpreted ``_run_join_tests`` reference scan.  Set
+        #: through :meth:`attach_kernel`.
         self.kernel = None
         self.plan = None
         #: Lifetime opposing-memory probes / largest token set seen — plain
@@ -551,413 +695,214 @@ class JoinNode:
         self.probes = 0
         self.max_group = 0
 
-    def _pair_matches(self, token: Token, wme: StoredTuple) -> bool:
+    def attach_kernel(self, kernel) -> None:
+        """Probe through *kernel* from now on (its plan is ``kernel.plan``)."""
+        self.kernel = kernel
+        self.plan = kernel.plan
+        self.lefts_for = kernel.lefts_for
+        self.rights_for = kernel.rights_for
+
+    def lefts_for(self, wme: StoredTuple, counters: Counters) -> list[Token]:
+        """LEFT tokens joining *wme*, in LEFT-memory insertion order."""
+        tests = self.tests
+        return [
+            token
+            for token in self.bmem.tokens()
+            if _run_join_tests(tests, token, wme, counters)
+        ]
+
+    def rights_for(self, token: Token, counters: Counters) -> list[StoredTuple]:
+        """RIGHT elements joining *token*, in RIGHT-memory insertion order."""
+        tests = self.tests
+        return [
+            wme
+            for wme in self.amem.wmes()
+            if _run_join_tests(tests, token, wme, counters)
+        ]
+
+    def _activated(self, group_size: int = 1) -> None:
+        self.counters.node_activations += 1
+        self.probes += 1
+        if group_size > self.max_group:
+            self.max_group = group_size
+
+    def _partner_lists(self, runtime, items: list, primitive, span) -> list:
+        """``primitive(item)`` per item of a token set, in item order.
+
+        The probed memory and its indexes are read-only for the duration,
+        so a large set fans out over the worker pool in contiguous chunks
+        (per-task counters, merged in chunk order).
+        """
         if self.kernel is not None:
-            return self.kernel.pair_test(token, wme, self.counters)
-        return _run_join_tests(self.tests, token, wme, self.counters)
+            span.set("kernel", self.kernel.label)
+        pool = _fanout_pool(runtime, len(items))
+        if pool is None:
+            counters = self.counters
+            return [primitive(item, counters) for item in items]
+        span.set("workers", pool.workers)
+        return pool.map_chunks(
+            items,
+            lambda chunk, counters: [primitive(item, counters) for item in chunk],
+            counters=self.counters,
+            label=self.name,
+        )
+
+
+class JoinNode(_TwoInputNode):
+    """Two-input node joining a beta memory (LEFT) and alpha memory (RIGHT)."""
 
     def left_activate_new_token(self, runtime: "ReteRuntime", token: Token) -> None:
-        self.counters.node_activations += 1
-        self.probes += 1
-        for wme in self.amem.wmes():
-            if self._pair_matches(token, wme):
-                for child in list(self.children):
-                    child.left_activate(runtime, token, wme)
+        self._activated()
+        for wme in self.rights_for(token, self.counters):
+            for child in self.children:
+                child.left_activate(runtime, token, wme)
 
     def right_activate(self, wme: StoredTuple) -> None:
-        self.counters.node_activations += 1
-        self.probes += 1
+        self._activated()
         runtime = self.runtime
-        for token in self.bmem.tokens():
-            if self._pair_matches(token, wme):
-                for child in list(self.children):
-                    child.left_activate(runtime, token, wme)
+        for token in self.lefts_for(wme, self.counters):
+            for child in self.children:
+                child.left_activate(runtime, token, wme)
 
     def left_activate_token_set(
         self, runtime: "ReteRuntime", tokens: list[Token], group: str
     ) -> None:
         """A LEFT token set arrives: probe the RIGHT memory once for all."""
-        self.counters.node_activations += 1
-        self.probes += 1
-        if len(tokens) > self.max_group:
-            self.max_group = len(tokens)
+        self._activated(len(tokens))
         with _probe_span(
             runtime, self.name, "left", "RIGHT", group, len(tokens)
         ) as span:
-            pool = _fanout_pool(runtime, len(tokens))
-            if self.kernel is not None:
-                span.set("kernel", self.kernel.label)
-                if pool is not None:
-                    span.set("workers", pool.workers)
-                    pairs = pool.map_chunks(
-                        tokens,
-                        lambda chunk, counters: self.kernel.probe_left(
-                            self, chunk, counters
-                        ),
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    pairs = self.kernel.probe_left(self, tokens, self.counters)
-            else:
-                rights = self.amem.wmes()
-                tests = self.tests
-                if pool is not None:
-                    span.set("workers", pool.workers)
-                    pairs = pool.map_chunks(
-                        tokens,
-                        lambda chunk, counters: [
-                            (token, wme)
-                            for token in chunk
-                            for wme in rights
-                            if _run_join_tests(tests, token, wme, counters)
-                        ],
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    pairs = [
-                        (token, wme)
-                        for token in tokens
-                        for wme in rights
-                        if _run_join_tests(tests, token, wme, self.counters)
-                    ]
+            partners = self._partner_lists(runtime, tokens, self.rights_for, span)
+            pairs = [
+                (token, wme)
+                for token, wmes in zip(tokens, partners)
+                for wme in wmes
+            ]
             span.set("pairs", len(pairs))
-        _record_pairs(runtime, len(pairs))
-        if pairs:
-            for child in list(self.children):
-                child.left_activate_set(runtime, pairs, group)
+        self._propagate(runtime, pairs, group)
 
     def right_activate_set(self, wmes: list[StoredTuple], group: str) -> None:
         """A RIGHT token set arrives: probe the LEFT memory once for all."""
-        self.counters.node_activations += 1
-        self.probes += 1
-        if len(wmes) > self.max_group:
-            self.max_group = len(wmes)
+        self._activated(len(wmes))
         runtime = self.runtime
         with _probe_span(
             runtime, self.name, "right", "LEFT", group, len(wmes)
         ) as span:
-            pool = _fanout_pool(runtime, len(wmes))
-            if self.kernel is not None:
-                span.set("kernel", self.kernel.label)
-                if pool is not None:
-                    span.set("workers", pool.workers)
-                    pairs = pool.map_chunks(
-                        wmes,
-                        lambda chunk, counters: self.kernel.probe_right(
-                            self, chunk, counters
-                        ),
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    pairs = self.kernel.probe_right(self, wmes, self.counters)
-            else:
-                lefts = self.bmem.tokens()
-                tests = self.tests
-                if pool is not None:
-                    span.set("workers", pool.workers)
-                    pairs = pool.map_chunks(
-                        wmes,
-                        lambda chunk, counters: [
-                            (token, wme)
-                            for wme in chunk
-                            for token in lefts
-                            if _run_join_tests(tests, token, wme, counters)
-                        ],
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    pairs = [
-                        (token, wme)
-                        for wme in wmes
-                        for token in lefts
-                        if _run_join_tests(tests, token, wme, self.counters)
-                    ]
+            partners = self._partner_lists(runtime, wmes, self.lefts_for, span)
+            pairs = [
+                (token, wme)
+                for wme, tokens in zip(wmes, partners)
+                for token in tokens
+            ]
             span.set("pairs", len(pairs))
+        self._propagate(runtime, pairs, group)
+
+    def _propagate(self, runtime: "ReteRuntime", pairs: list, group: str) -> None:
         _record_pairs(runtime, len(pairs))
         if pairs:
-            for child in list(self.children):
+            for child in self.children:
                 child.left_activate_set(runtime, pairs, group)
 
     def forget_token(self, token: Token) -> None:
         """A LEFT token disappeared; plain joins keep no per-token state."""
 
 
-class NegativeNode:
+class NegativeNode(_TwoInputNode):
     """Two-input node for a negated condition element.
 
     Sits in a join node's position: LEFT input is a beta memory, RIGHT an
     alpha memory.  A LEFT token propagates (with a ``None`` element slot)
-    exactly while it has no join partner on the RIGHT.
+    exactly while it has no join partner on the RIGHT; ``results`` holds
+    each LEFT token's current partners (its *witnesses*).
     """
 
-    def __init__(
-        self,
-        name: str,
-        bmem: BetaMemory,
-        amem: AlphaMemory,
-        tests: tuple[JoinTest, ...],
-        counters: Counters,
-    ) -> None:
-        self.name = name
-        self.bmem = bmem
-        self.amem = amem
-        self.tests = tests
-        self.counters = counters
-        self.children: list[BetaMemory | NegativeNode | ProductionNode] = []
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.results: dict[Token, set[WmeKey]] = {}
-        #: Pure-equality tests admit hash-keyed witness probes on the
-        #: batch paths (``compare("=", a, b)`` agrees exactly with dict
-        #: key equality over the value domain); any other operator falls
-        #: back to the nested scan.  Vacuously true for test-free nodes.
-        self.hash_eligible = all(test.op == "=" for test in tests)
-        bmem.children.append(self)
-        amem.successors.append(self)
-        self.runtime: ReteRuntime | None = None
-        #: Compiled kernel + plan, as on :class:`JoinNode`.  A kernel
-        #: generalizes ``hash_eligible``: the *equality subset* of the
-        #: tests keys the witness index and any remaining tests filter
-        #: within a bucket, so mixed-operator negations hash too.
-        self.kernel = None
-        self.plan = None
-        #: Same per-node hotspot counters as :class:`JoinNode`.
-        self.probes = 0
-        self.max_group = 0
 
-    def _pair_matches(self, token: Token, wme: StoredTuple) -> bool:
-        if self.kernel is not None:
-            return self.kernel.pair_test(token, wme, self.counters)
-        return _run_join_tests(self.tests, token, wme, self.counters)
-
-    def _witness_key(self, wme: StoredTuple) -> tuple:
-        """The RIGHT element's values at the tested positions."""
-        self.counters.comparisons += len(self.tests)
-        return tuple(wme.values[test.own_position] for test in self.tests)
-
-    def _probe_key(
-        self, token: Token, counters: Counters | None = None
-    ) -> tuple | None:
-        """The LEFT token's values at the tested positions.
-
-        ``None`` when an ancestor slot holds no element (a negated CE
-        upstream): every join test fails against it, so the token can
-        have no witnesses at all.  *counters* routes the comparison
-        counts to a per-task bag on the parallel path.
-        """
-        if counters is None:
-            counters = self.counters
-        values = []
-        for test in self.tests:
-            other = token.ancestor(test.levels_up - 1).wme
-            counters.comparisons += 1
-            if other is None:
-                return None
-            values.append(other.values[test.other_position])
-        return tuple(values)
-
-    def left_activate_new_token(self, runtime: "ReteRuntime", token: Token) -> None:
-        self.counters.node_activations += 1
-        self.probes += 1
-        matches = {
-            wme_key(wme)
-            for wme in self.amem.wmes()
-            if self._pair_matches(token, wme)
-        }
+    def _set_witnesses(
+        self, runtime: "ReteRuntime", token: Token, witnesses: list[StoredTuple]
+    ) -> bool:
+        """Record a new LEFT token's witnesses; True when it has none."""
+        matches = {wme_key(wme) for wme in witnesses}
         self.results[token] = matches
         for key in matches:
             runtime.register_negative(key, self, token)
-        if not matches:
-            for child in list(self.children):
+        return not matches
+
+    def _add_witness(self, runtime: "ReteRuntime", wme: StoredTuple) -> list[Token]:
+        """A new RIGHT element: add it to every joining token's witnesses.
+
+        Returns the tokens it newly blocked, in LEFT-memory order; the
+        caller retracts their downstream propagation afterwards (which
+        depends only on the token, not on which witness blocked it).
+        """
+        key = wme_key(wme)
+        blocked: list[Token] = []
+        for token in self.lefts_for(wme, self.counters):
+            # The dummy top token is stored in ``top`` but never
+            # left-activates a node, so it has no witness set.
+            matches = self.results.get(token)
+            if matches is None:
+                continue
+            if not matches:
+                blocked.append(token)
+            matches.add(key)
+            runtime.register_negative(key, self, token)
+        return blocked
+
+    def left_activate_new_token(self, runtime: "ReteRuntime", token: Token) -> None:
+        self._activated()
+        witnesses = self.rights_for(token, self.counters)
+        if self._set_witnesses(runtime, token, witnesses):
+            for child in self.children:
                 child.left_activate(runtime, token, None)
 
     def right_activate(self, wme: StoredTuple) -> None:
-        self.counters.node_activations += 1
-        self.probes += 1
+        self._activated()
         runtime = self.runtime
-        key = wme_key(wme)
-        for token, matches in list(self.results.items()):
-            if self._pair_matches(token, wme):
-                was_empty = not matches
-                matches.add(key)
-                runtime.register_negative(key, self, token)
-                if was_empty:
-                    self._retract_propagation(runtime, token)
+        for token in self._add_witness(runtime, wme):
+            self._retract_propagation(runtime, token)
 
     def left_activate_token_set(
         self, runtime: "ReteRuntime", tokens: list[Token], group: str
     ) -> None:
-        """A LEFT token set: one RIGHT probe computes every witness set.
-
-        With pure-equality tests the RIGHT memory is indexed once by the
-        tested positions and each token's witnesses come from a single
-        hash lookup — O(T + R) instead of the O(T × R) nested scan.
-        """
-        self.counters.node_activations += 1
-        self.probes += 1
-        if len(tokens) > self.max_group:
-            self.max_group = len(tokens)
+        """A LEFT token set: one RIGHT probe computes every witness set."""
+        self._activated(len(tokens))
         with _probe_span(
             runtime, self.name, "left", "RIGHT", group, len(tokens)
         ) as span:
-            unblocked: list[tuple[Token, StoredTuple | None]] = []
-            pool = _fanout_pool(runtime, len(tokens))
-            if self.kernel is not None:
-                span.set("kernel", self.kernel.label)
-                if pool is not None:
-                    span.set("workers", pool.workers)
-                    witness_lists = pool.map_chunks(
-                        tokens,
-                        lambda chunk, counters: self.kernel.witness_lists(
-                            self, chunk, counters
-                        ),
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    witness_lists = self.kernel.witness_lists(
-                        self, tokens, self.counters
-                    )
-            elif self.hash_eligible:
-                span.set("probe", "hash")
-                # The witness index is built once on the caller (its
-                # comparison counts land in the shared counters, exactly
-                # as on the serial path) and shared read-only by every
-                # probe chunk.
-                rights = self.amem.wmes()
-                index: dict[tuple, list[StoredTuple]] = {}
-                for wme in rights:
-                    index.setdefault(self._witness_key(wme), []).append(wme)
-                if pool is not None:
-                    span.set("workers", pool.workers)
-
-                    def probe_chunk(chunk, counters):
-                        lists = []
-                        for token in chunk:
-                            probe = self._probe_key(token, counters)
-                            lists.append(
-                                index.get(probe, ())
-                                if probe is not None
-                                else ()
-                            )
-                        return lists
-
-                    witness_lists = pool.map_chunks(
-                        tokens,
-                        probe_chunk,
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    witness_lists = []
-                    for token in tokens:
-                        probe = self._probe_key(token)
-                        witness_lists.append(
-                            index.get(probe, ()) if probe is not None else ()
-                        )
-            else:
-                rights = self.amem.wmes()
-                if pool is not None:
-                    span.set("workers", pool.workers)
-                    tests = self.tests
-                    witness_lists = pool.map_chunks(
-                        tokens,
-                        lambda chunk, counters: [
-                            [
-                                wme
-                                for wme in rights
-                                if _run_join_tests(tests, token, wme, counters)
-                            ]
-                            for token in chunk
-                        ],
-                        counters=self.counters,
-                        label=self.name,
-                    )
-                else:
-                    witness_lists = [
-                        [
-                            wme
-                            for wme in rights
-                            if _run_join_tests(
-                                self.tests, token, wme, self.counters
-                            )
-                        ]
-                        for token in tokens
-                    ]
-            for token, witnesses in zip(tokens, witness_lists):
-                matches = {wme_key(wme) for wme in witnesses}
-                self.results[token] = matches
-                for key in matches:
-                    runtime.register_negative(key, self, token)
-                if not matches:
-                    unblocked.append((token, None))
+            partners = self._partner_lists(runtime, tokens, self.rights_for, span)
+            unblocked: list[tuple[Token, StoredTuple | None]] = [
+                (token, None)
+                for token, witnesses in zip(tokens, partners)
+                if self._set_witnesses(runtime, token, witnesses)
+            ]
             span.set("pairs", len(unblocked))
         _record_pairs(runtime, len(unblocked))
         if unblocked:
-            for child in list(self.children):
+            for child in self.children:
                 child.left_activate_set(runtime, unblocked, group)
 
     def right_activate_set(self, wmes: list[StoredTuple], group: str) -> None:
         """A RIGHT token set: one LEFT probe updates every witness set.
 
         Tokens whose witness set became non-empty have their downstream
-        propagation retracted after the probe (final state is the same as
-        retracting at the first new witness, since retraction only depends
-        on the token, not on which witness blocked it).
-
-        This path stays serial even under a worker pool: it mutates the
-        per-token witness sets in place while probing, so there is no
-        pure read phase to fan out (a known serial fallback — see
-        ``docs/PARALLELISM.md``).
+        propagation retracted after the probe.  This path stays serial
+        even under a worker pool: it mutates the per-token witness sets
+        while probing, so there is no pure read phase to fan out (a known
+        serial fallback — see ``docs/PARALLELISM.md``).
         """
-        self.counters.node_activations += 1
-        self.probes += 1
-        if len(wmes) > self.max_group:
-            self.max_group = len(wmes)
+        self._activated(len(wmes))
         runtime = self.runtime
         newly_blocked: list[Token] = []
         with _probe_span(
             runtime, self.name, "right", "LEFT", group, len(wmes)
         ) as span:
-            buckets: dict[tuple, list[StoredTuple]] | None = None
-            kernel = self.kernel
-            if kernel is not None:
-                span.set("kernel", kernel.label)
-                buckets = kernel.index_right(wmes, self.counters)
-            elif self.hash_eligible:
-                span.set("probe", "hash")
-                buckets = {}
-                for wme in wmes:
-                    buckets.setdefault(self._witness_key(wme), []).append(wme)
-            for token, matches in list(self.results.items()):
-                if kernel is not None:
-                    hits = kernel.bucket_hits(
-                        self, token, buckets, wmes, self.counters
-                    )
-                elif buckets is not None:
-                    probe = self._probe_key(token)
-                    hits = (
-                        buckets.get(probe, ()) if probe is not None else ()
-                    )
-                else:
-                    hits = [
-                        wme
-                        for wme in wmes
-                        if _run_join_tests(
-                            self.tests, token, wme, self.counters
-                        )
-                    ]
-                if not hits:
-                    continue
-                was_empty = not matches
-                for wme in hits:
-                    key = wme_key(wme)
-                    matches.add(key)
-                    runtime.register_negative(key, self, token)
-                if was_empty:
-                    newly_blocked.append(token)
+            if self.kernel is not None:
+                span.set("kernel", self.kernel.label)
+            for wme in wmes:
+                newly_blocked.extend(self._add_witness(runtime, wme))
             span.set("pairs", len(newly_blocked))
         for token in newly_blocked:
             self._retract_propagation(runtime, token)
@@ -969,7 +914,7 @@ class NegativeNode:
             return
         matches.discard(key)
         if not matches:
-            for child in list(self.children):
+            for child in self.children:
                 child.left_activate(runtime, token, None)
 
     def flush_unblocked(
@@ -998,21 +943,19 @@ class NegativeNode:
                 seen.add(id(token))
                 pairs.append((token, None))
         if pairs:
-            for child in list(self.children):
+            for child in self.children:
                 child.left_activate_set(runtime, pairs, group)
 
     def _retract_propagation(self, runtime: "ReteRuntime", token: Token) -> None:
         """Remove this node's downstream tokens built on *token*."""
+        downstream = self.children
         mine = [
             child
-            for child in list(token.children)
-            if child.wme is None and child.node in self._downstream_nodes()
+            for child in token.children()
+            if child.wme is None and child.node in downstream
         ]
         for child in mine:
             runtime.delete_token(child)
-
-    def _downstream_nodes(self) -> set[object]:
-        return set(self.children)
 
     def forget_token(self, token: Token) -> None:
         """LEFT token retracted: drop its join-result bookkeeping."""
@@ -1037,13 +980,14 @@ class ProductionNode:
         self.conflict_set = conflict_set
         self.counters = counters
         self.schemas = schemas
-        self.items: list[Token] = []
+        #: Live instantiation tokens (insertion-ordered set, O(1) removal).
+        self.items: dict[Token, None] = {}
 
     def left_activate(self, runtime: "ReteRuntime", parent: Token,
                       wme: StoredTuple | None) -> None:
         self.counters.node_activations += 1
         token = Token(parent, wme, self)
-        self.items.append(token)
+        self.items[token] = None
         if wme is not None:
             runtime.register_token(wme, token)
         self.conflict_set.add(self._instantiation(token))
@@ -1058,13 +1002,13 @@ class ProductionNode:
         self.counters.node_activations += 1
         for parent, wme in pairs:
             token = Token(parent, wme, self)
-            self.items.append(token)
+            self.items[token] = None
             if wme is not None:
                 runtime.register_token(wme, token)
             self.conflict_set.add(self._instantiation(token))
 
     def token_deleted(self, token: Token) -> None:
-        self.items.remove(token)
+        del self.items[token]
         self.conflict_set.remove(self._instantiation(token))
 
     def _instantiation(self, token: Token) -> Instantiation:
@@ -1090,7 +1034,10 @@ class ReteRuntime:
 
     def __init__(self, counters: Counters) -> None:
         self.counters = counters
-        self.wme_tokens: dict[WmeKey, list[Token]] = {}
+        #: The oldest token registered under each element; the rest
+        #: follow through ``Token.wme_next`` in registration order (a
+        #: circular list, so registering and unlinking are O(1)).
+        self.wme_tokens: dict[WmeKey, Token] = {}
         self.wme_alpha: dict[WmeKey, list[AlphaMemory]] = {}
         self.wme_negatives: dict[WmeKey, list[tuple[NegativeNode, Token]]] = {}
         #: Observability used by the batched propagation path (set by the
@@ -1111,7 +1058,11 @@ class ReteRuntime:
         self.pool = None
 
     def register_token(self, wme: StoredTuple, token: Token) -> None:
-        self.wme_tokens.setdefault(wme_key(wme), []).append(token)
+        head = self.wme_tokens.setdefault(wme_key(wme), token)
+        tail = token if head is token else head.wme_prev
+        token.wme_prev = tail
+        token.wme_next = head
+        tail.wme_next = head.wme_prev = token
 
     def register_alpha(self, wme: StoredTuple, amem: AlphaMemory) -> None:
         self.wme_alpha.setdefault(wme_key(wme), []).append(amem)
@@ -1126,13 +1077,11 @@ class ReteRuntime:
         key = wme_key(wme)
         for amem in self.wme_alpha.pop(key, []):
             amem.retract(wme)
-        # Iterate the live bucket: deleting a token also deletes its
+        # Always take the live head: deleting a token also deletes its
         # descendants, which may themselves be registered under this wme
         # (self-joins put one element at several chain levels).
-        bucket = self.wme_tokens.get(key)
-        while bucket:
-            self.delete_token(bucket[0])
-        self.wme_tokens.pop(key, None)
+        while key in self.wme_tokens:
+            self.delete_token(self.wme_tokens[key])
         for node, token in self.wme_negatives.pop(key, []):
             if self.pending_unblocks is not None:
                 self.pending_unblocks.setdefault(node, []).append((key, token))
@@ -1141,16 +1090,23 @@ class ReteRuntime:
 
     def delete_token(self, token: Token) -> None:
         """Delete *token* and every descendant (retraction)."""
-        while token.children:
-            self.delete_token(token.children[0])
+        while token.child is not None:
+            self.delete_token(token.child)
         node = token.node
         if isinstance(node, ProductionNode):
             node.token_deleted(token)
         elif isinstance(node, BetaMemory):
             node.remove_token(token)
         if token.parent is not None:
-            token.parent.children.remove(token)
+            token.unlink()
         if token.wme is not None:
-            bucket = self.wme_tokens.get(wme_key(token.wme))
-            if bucket and token in bucket:
-                bucket.remove(token)
+            key = wme_key(token.wme)
+            following = token.wme_next
+            if following is token:
+                del self.wme_tokens[key]
+            else:
+                following.wme_prev = token.wme_prev
+                token.wme_prev.wme_next = following
+                if self.wme_tokens[key] is token:
+                    self.wme_tokens[key] = following
+            token.wme_prev = token.wme_next = None

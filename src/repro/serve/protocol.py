@@ -42,6 +42,13 @@ OPS = MUTATION_OPS + (
     "follow", "promote",
 )
 
+#: Longest request line the server reads (an ``attach`` carries a whole
+#: rule program, so this is well above asyncio's 64 KiB default).  A
+#: longer line is answered with a ``too_large`` error and the connection
+#: is closed: what follows on it is the tail of that line, not a request.
+#: Per-connection read buffering is bounded by twice this.
+MAX_LINE_BYTES = 4 * 1024 * 1024
+
 #: Tenant names become WAL filenames; keep them path-safe.
 TENANT_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 

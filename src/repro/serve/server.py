@@ -61,6 +61,7 @@ from repro.serve.backpressure import (
     AdmissionPolicy,
 )
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     MUTATION_OPS,
     ProtocolError,
     Request,
@@ -234,7 +235,7 @@ class RuleServer:
         if self.obs.enabled:
             self.obs.metrics.gauge("replica.epoch").set(self.epoch)
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._engine_task = asyncio.ensure_future(self._engine_loop())
@@ -376,7 +377,19 @@ class RuleServer:
     ) -> None:
         try:
             while not self._stopping.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over MAX_LINE_BYTES with no newline yet: the rest of
+                    # the stream is that line's tail, so answer and close.
+                    writer.write(encode_reply({
+                        "ok": False, "error": "too_large",
+                        "limit": MAX_LINE_BYTES,
+                        "detail": "request line exceeds the limit; "
+                                  "closing the connection",
+                    }))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -664,7 +677,7 @@ class RuleServer:
         while not self._stopping.is_set() and self.role == "follower":
             try:
                 reader, writer = await asyncio.open_connection(
-                    host or "127.0.0.1", int(port)
+                    host or "127.0.0.1", int(port), limit=MAX_LINE_BYTES
                 )
             except OSError:
                 if lost_at is None:

@@ -19,10 +19,12 @@ from repro.workload.programs import (
     EXAMPLE3_SOURCE,
     EXAMPLE4_SOURCE,
     EXAMPLE5_INSERTS,
+    INVENTORY_PROGRAM,
     chain_program,
     contended_rules_program,
     counter_program,
     independent_rules_program,
+    inventory_events,
     monkey_bananas_program,
 )
 
@@ -32,6 +34,7 @@ __all__ = [
     "EXAMPLE4_SOURCE",
     "EXAMPLE5_INSERTS",
     "GeneratedWorkload",
+    "INVENTORY_PROGRAM",
     "K8S_PROGRAM",
     "WorkloadSpec",
     "as_requests",
@@ -42,6 +45,7 @@ __all__ = [
     "generate_program",
     "generate_workload",
     "independent_rules_program",
+    "inventory_events",
     "k8s_events",
     "k8s_setup",
     "mixed_stream",

@@ -9,6 +9,8 @@ and independent-rule batches for the §5 concurrency experiments.
 
 from __future__ import annotations
 
+import random
+
 #: Example 2 (§3.1): algebraic simplification.  The paper shows PlusOX in
 #: full and names the sibling TimesOX; §4.1.1's COND tables list both.
 EXAMPLE2_SOURCE = """
@@ -175,3 +177,77 @@ def monkey_bananas_program() -> str:
         (modify 1 ^status satisfied)
         (halt))
     """
+
+
+#: A warehouse whose join keys stay selective as it grows: more parts and
+#: sites, not more rows per part.  ``route`` is a 4-way equality join with
+#: a ``<=`` residual; ``imbalance`` a stock x stock self-join with ``<>``
+#: and ``<`` residuals behind a negated CE — the shapes a keyed probe
+#: answers from one bucket and a scan answers from the whole memory.
+INVENTORY_PROGRAM = """
+(literalize site name region)
+(literalize part id kind)
+(literalize stock part site qty)
+(literalize hold part)
+(literalize order id part region qty)
+
+(p route
+    (site ^name <s> ^region <r>)
+    (stock ^site <s> ^part <p> ^qty <q>)
+    (part ^id <p> ^kind <k>)
+    (order ^id <o> ^part <p> ^region <r> ^qty <= <q>)
+    -->
+    (remove 4))
+
+(p imbalance
+    (stock ^part <p> ^site <a> ^qty <q>)
+    (stock ^part <p> ^site {<b> <> <a>} ^qty < <q>)
+    -(hold ^part <p>)
+    -->
+    (remove 2))
+"""
+
+
+def inventory_events(
+    size: int, churn: int, seed: int = 0
+) -> list[tuple[str, object]]:
+    """Bench-driver events for :data:`INVENTORY_PROGRAM`.
+
+    The first events load an inventory of about *size* tuples (sites,
+    parts and holds scale with it, about seven stock rows per part); the
+    next *churn* events mix stock inserts and deletes with incoming
+    orders, keeping the size roughly constant.
+    """
+    rng = random.Random(f"inventory/{seed}")
+    sites = max(4, size // 40)
+    parts = max(4, size // 8)
+
+    def stock() -> tuple[str, object]:
+        return ("insert", ("stock", (
+            rng.randrange(parts), rng.randrange(sites), rng.randrange(1, 50)
+        )))
+
+    events: list[tuple[str, object]] = [
+        ("insert", ("site", (name, name % 4))) for name in range(sites)
+    ]
+    events += [("insert", ("part", (ident, ident % 10))) for ident in range(parts)]
+    events += [
+        ("insert", ("hold", (rng.randrange(parts),)))
+        for _ in range(max(1, size // 60))
+    ]
+    fixed = len(events)
+    events += [stock() for _ in range(max(0, size - fixed))]
+    resident = len(events)
+    for step in range(churn):
+        kind = step % 3
+        if kind == 0:
+            events.append(stock())
+        elif kind == 1:
+            # Past the fixed prefix the live list holds stock rows (and,
+            # towards its end, a few orders): retire one of them.
+            events.append(("delete", fixed + rng.randrange(resident - fixed)))
+        else:
+            events.append(("insert", ("order", (
+                step, rng.randrange(parts), rng.randrange(4), rng.randrange(1, 30)
+            ))))
+    return events

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.drivers import drive_stream
-from repro.check.oracle import rete_memory_snapshot
+from repro.check.oracle import (
+    CheckConfig,
+    replay_config,
+    rete_index_faults,
+    rete_memory_snapshot,
+)
+from repro.check.trace import Trace, TraceOp
 from repro.engine import WorkingMemory
 from repro.instrument import Counters
 from repro.lang import analyze_program, parse_program
@@ -26,7 +32,12 @@ from repro.match.compile import (
     compile_alpha_test,
     plan_join,
 )
-from repro.match.rete.runtime import AlphaMemory, JoinTest
+from repro.match.rete.runtime import (
+    AlphaMemory,
+    BetaMemory,
+    JoinTest,
+    ReteRuntime,
+)
 from repro.storage.predicate import (
     And,
     AttributeComparison,
@@ -347,3 +358,166 @@ class TestCompiledKernelProperty:
                 rete_memory_snapshot(strategy),
             )
         assert results["on"] == results["off"]
+
+
+#: Shaped like the benchmark pack's ``audit-imbalance``: a shared-alpha
+#: stock x stock self-join keyed on the part with ``<>`` and ``<``
+#: residuals, two site joins, a negated CE (so downstream tokens carry a
+#: ``None`` slot) and a two-column key at the last join.
+IMBALANCE = """
+(literalize stock part site qty)
+(literalize site name region)
+(literalize hold part)
+(literalize audit region)
+(p imbalance
+    (stock ^part <p> ^site <a> ^qty <q>)
+    (stock ^part <p> ^site {<b> <> <a>} ^qty < <q>)
+    (site ^name <a> ^region <r>)
+    (site ^name <b> ^region <r>)
+    -(hold ^part <p>)
+    (audit ^region <r>)
+    -->
+    (remove 6))
+"""
+
+_small = st.integers(0, 2)
+_index_op = st.one_of(
+    st.builds(TraceOp.insert, st.just("stock"),
+              st.tuples(_small, _small, st.integers(0, 3))),
+    st.builds(TraceOp.insert, st.just("stock"),
+              st.tuples(_small, _small, st.integers(0, 3))),
+    st.builds(TraceOp.insert, st.just("site"), st.tuples(_small, _small)),
+    st.builds(TraceOp.insert, st.just("hold"), st.tuples(_small)),
+    st.builds(TraceOp.insert, st.just("audit"), st.tuples(_small)),
+    st.builds(TraceOp.delete, st.integers(0, 1 << 16)),
+    st.builds(
+        TraceOp.modify,
+        st.integers(0, 1 << 16),
+        st.sampled_from(
+            [{"qty": 0}, {"qty": 3}, {"site": 1}, {"part": 2},
+             {"region": 0}, {"name": 2}]
+        ),
+    ),
+    st.sampled_from([TraceOp.detach(), TraceOp.attach()]),
+)
+
+
+class TestPersistentIndexes:
+    def _network(self, strategy_name="rete"):
+        program = parse_program(IMBALANCE)
+        analyses = analyze_program(program.rules, program.schemas)
+        wm = WorkingMemory(program.schemas)
+        strategy = STRATEGIES[strategy_name](
+            wm, analyses, counters=Counters(), compile_mode="on"
+        )
+        return wm, strategy
+
+    def test_keyed_nodes_register_their_specs_with_both_memories(self):
+        _, strategy = self._network()
+        network = strategy.network
+        keyed = [n for n in network.join_nodes if n.plan.kind == "hash"]
+        assert keyed
+        for node in (*keyed, *network.negative_nodes):
+            eq = node.plan.eq_tests
+            assert tuple(t.own_position for t in eq) in node.amem.indexes
+            level = node.bmem.level
+            left = tuple((level - t.levels_up, t.other_position) for t in eq)
+            assert left in node.bmem.indexes
+        # Key-less plans ask for nothing: the top memory stays unindexed.
+        assert network.top.indexes == {}
+
+    def test_same_spec_on_a_shared_memory_is_one_index(self):
+        """rete-shared: both stock CEs test nothing constant, so they
+        share one alpha memory; asking for the same key twice must hand
+        back the same index object."""
+        _, strategy = self._network("rete-shared")
+        amem = strategy.network.alpha_by_class["stock"][0]
+        assert amem.index_on((0,)) is amem.index_on((0,))
+        assert len(amem.indexes) == 1
+
+    def test_index_built_late_covers_existing_rows(self):
+        wm, strategy = self._network()
+        for part in range(3):
+            wm.insert("stock", (part % 2, 0, part))
+        amem = strategy.network.alpha_by_class["stock"][0]
+        late = amem.index_on((2,))
+        assert sorted(late) == [(0,), (1,), (2,)]
+        assert rete_index_faults(strategy.network) == []
+
+    def test_none_slot_tokens_are_never_indexed(self):
+        """A token whose tested slot is empty (a negated CE level) can
+        join nothing: it must stay out of every bucket, through admit
+        and removal alike."""
+        runtime = ReteRuntime(Counters())
+        top = BetaMemory("top", 0, Counters())
+        dummy = top.make_dummy()
+        bmem = BetaMemory("b", 1, Counters())
+        index = bmem.index_on(((0, 0),))
+        bmem.left_activate(runtime, dummy, _wme(1, (7, 0)))
+        bmem.left_activate(runtime, dummy, None)
+        bmem.left_activate(runtime, dummy, _wme(2, (7, 1)))
+        assert {key: len(rows) for key, rows in index.items()} == {(7,): 2}
+        assert len(bmem) == 3
+        for token in bmem.tokens():
+            runtime.delete_token(token)
+        assert index == {} and len(bmem) == 0
+
+    def test_describe_reports_index_skew(self):
+        wm, strategy = self._network()
+        for site in range(4):
+            wm.insert("stock", (0, site, site))  # one part: one bucket
+        node = next(
+            n for n in strategy.describe()["nodes"]
+            if n["kind"] == "alpha" and n["class"] == "stock" and n["indexes"]
+        )
+        assert node["indexes"] == [{"on": [0], "buckets": 1, "largest": 4}]
+
+    def test_indexed_probe_counts_lookups_not_scans(self):
+        """One ``index_lookups`` per keyed probe plus one ``comparisons``
+        per residual test evaluated: growing the opposing memory with
+        rows of *other* keys must not change what a probe costs."""
+        costs = []
+        for bystanders in (0, 50):
+            wm, strategy = self._network()
+            wm.insert("stock", (0, 0, 5))
+            for n in range(bystanders):
+                wm.insert("stock", (1 + n, 0, 5))
+            counters = strategy.counters
+            before = counters.comparisons + counters.index_lookups
+            wm.insert("stock", (0, 1, 3))
+            costs.append(counters.comparisons + counters.index_lookups - before)
+        assert costs[0] == costs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(_index_op, max_size=40),
+        batch_size=st.sampled_from([1, 4, 64]),
+        strategy_name=st.sampled_from(["rete", "rete-shared"]),
+    )
+    def test_buckets_equal_the_filtered_scan_after_any_stream(
+        self, ops, batch_size, strategy_name
+    ):
+        """After any insert/delete/modify/detach/attach stream — at every
+        sync point of it and through the recognize-act cycles that
+        follow — every index bucket is the key-filtered, insertion-
+        ordered scan of its memory, and the compiled run is bit-identical
+        to the interpreted scan (conflict sets, fired sequence, memory
+        snapshots)."""
+        trace = Trace(
+            name="indexes", seed=0, program=IMBALANCE, ops=tuple(ops),
+            max_cycles=10,
+        )
+        runs = {
+            mode: replay_config(
+                trace,
+                CheckConfig(strategy_name, batch_size=batch_size, compile=mode),
+            )
+            for mode in ("off", "on")
+        }
+        compiled, reference = runs["on"], runs["off"]
+        for tag, snapshot in compiled.rete_memories.items():
+            assert snapshot["index_faults"] == [], tag
+        assert compiled.rete_memories == reference.rete_memories
+        assert compiled.checkpoints == reference.checkpoints
+        assert compiled.fired == reference.fired
+        assert compiled.final_wm == reference.final_wm

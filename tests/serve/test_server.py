@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.serve.backpressure import AdmissionController, AdmissionPolicy
-from repro.serve.protocol import parse_request
+from repro.serve.protocol import MAX_LINE_BYTES, parse_request
 from repro.serve.server import RuleServer, scan_tenants
 
 PROGRAM = """
@@ -128,6 +128,62 @@ class TestRequestPaths:
             assert json.loads(await reader.readline())["pong"] is True
             writer.close()
             await server.shutdown()
+
+        run(scenario())
+
+    def test_large_program_attaches_and_oversized_line_is_refused(
+        self, tmp_path
+    ):
+        """Regression: the listener used asyncio's default 64 KiB line
+        limit and ``_handle_client`` let the resulting ``ValueError``
+        escape, so a big ``attach`` died with a traceback and no reply.
+        Now a >64 KiB program attaches; a line over ``MAX_LINE_BYTES``
+        gets a structured ``too_large`` error and a deliberate close,
+        and neither the server nor another tenant's connection notices."""
+
+        async def scenario():
+            failures = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _l, ctx: failures.append(ctx))
+            server = await started_server(tmp_path)
+            call, writer = await connect(server)
+            await call(op="attach", tenant="t1", program=PROGRAM)
+            await call(op="insert", tenant="t1", seq=1, relation="acc",
+                       values={"total": 0, "count": 0})
+
+            big_call, big_writer = await connect(server)
+            padding = "; " + "x" * 100 + "\n"
+            big_program = PROGRAM + padding * 1000  # ~100 KiB of comments
+            assert len(big_program) > 64 * 1024
+            attached = await big_call(op="attach", tenant="big",
+                                      program=big_program)
+            assert attached["ok"] is True
+            big_writer.close()
+
+            reader, hostile = await asyncio.open_connection(
+                server.host, server.port
+            )
+            hostile.write(b"x" * (MAX_LINE_BYTES + 1024))
+            reply = json.loads(await reader.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == "too_large"
+            assert reply["limit"] == MAX_LINE_BYTES
+            assert await reader.read() == b""  # closed by the server
+            hostile.close()
+
+            # the first tenant's connection and state are untouched
+            ack = await call(op="insert", tenant="t1", seq=2, relation="ev",
+                             values={"n": 5})
+            assert ack["ok"] is True and ack["durable"] is True
+            rows = (await call(op="query", tenant="t1",
+                               relation="acc"))["rows"]
+            assert [row[2] for row in rows] == [[5, 1]]
+            assert sorted((await call(op="status"))["tenants"]) == [
+                "big", "t1",
+            ]
+            writer.close()
+            await server.shutdown()
+            assert failures == [], failures
 
         run(scenario())
 

@@ -23,7 +23,9 @@ tenant's exactly-once ``applied_seq`` recovered intact after the
 in-process ``kill -9`` stand-in.  The A10 rows gate the replication
 invariants the same way: zero steady-state lag under semi-sync acks,
 the full acked stream surviving promotion, and exactly one fencing
-epoch bump.
+epoch bump.  The A7 inventory rows gate the indexed join memories: the
+compiled ``comparisons + index_lookups`` per event must grow less than
+1.5x when the resident inventory grows 4x (a scan grows 4x).
 
 With ``--baseline PREV.json`` the gate compares those counts against the
 previous trajectory and fails (exit 1) when any grew more than the
@@ -59,6 +61,11 @@ GATED_COLUMNS = {
             "tickets", "wm", "epoch"),
 }
 
+#: Resident inventory sizes of the A7 tuple-at-a-time rows (a 4x step),
+#: and how much the compiled probe count per event may grow across it.
+INVENTORIES = (150, 600)
+INDEXED_GROWTH_BOUND = 1.5
+
 #: The deterministic speedup bound a multi-worker A8 row must clear for
 #: the nightly to count a worker-scaling win.
 SCALING_WIN_BOUND = 1.5
@@ -86,6 +93,7 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         stream_length=stream_length,
         batch_sizes=(64,),
         strategies=("rete", "rete-shared"),
+        inventories=INVENTORIES,
     )
     title_a8, rows_a8 = report_a8(
         stream_length=stream_length,
@@ -120,7 +128,10 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         for column in GATED_COLUMNS["a6"]:
             gate[f"{label}.{column}"] = row[column]
     for row in rows_a7:
-        label = f"a7[{row['strategy']}/batch={row['batch']}]"
+        inventory = (
+            "" if row["inventory"] == "-" else f"/inv={row['inventory']}"
+        )
+        label = f"a7[{row['strategy']}/batch={row['batch']}{inventory}]"
         for column in GATED_COLUMNS["a7"]:
             gate[f"{label}.{column}"] = row[column]
     for row in rows_a8:
@@ -155,6 +166,40 @@ def scaling_failures(payload: dict, bound: float = SCALING_WIN_BOUND) -> list[st
             f"across {len(parallel)} multi-worker rows is below {bound}"
         ]
     return []
+
+
+def indexing_failures(
+    payload: dict, bound: float = INDEXED_GROWTH_BOUND
+) -> list[str]:
+    """A7 acceptance: a keyed probe costs a bucket, not the memory.
+
+    Per strategy, the compiled ``probes/event`` of the largest-inventory
+    row over the smallest's must stay under *bound* although the
+    inventory grew 4x.  Operation counts are deterministic, so this
+    needs no baseline.
+    """
+    rows = [
+        row for row in payload.get("a7", {}).get("rows", [])
+        if row["inventory"] != "-"
+    ]
+    if not rows:
+        return ["a7: no inventory rows produced"]
+    failures = []
+    for strategy in sorted({row["strategy"] for row in rows}):
+        mine = sorted(
+            (row for row in rows if row["strategy"] == strategy),
+            key=lambda row: row["inventory"],
+        )
+        small, large = mine[0], mine[-1]
+        growth = large["probes/event"] / small["probes/event"]
+        if large["inventory"] < 4 * small["inventory"] or growth >= bound:
+            failures.append(
+                f"a7[{strategy}]: compiled probes/event grew {growth:.2f}x "
+                f"({small['probes/event']:.1f} -> {large['probes/event']:.1f}) "
+                f"from inventory {small['inventory']} to {large['inventory']}"
+                f" (bound {bound}x over a 4x inventory)"
+            )
+    return failures
 
 
 def serving_failures(payload: dict) -> list[str]:
@@ -279,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"trajectory written: {args.out} "
           f"({len(current['gate'])} gated counts)")
 
-    failures = (scaling_failures(current) + serving_failures(current)
-                + replication_failures(current))
+    failures = (indexing_failures(current) + scaling_failures(current)
+                + serving_failures(current) + replication_failures(current))
     if failures:
         print("bench smoke gate FAILED:", file=sys.stderr)
         for failure in failures:
