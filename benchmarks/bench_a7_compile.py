@@ -106,7 +106,7 @@ class TestA7Shape:
             assert len(sizes) == 1, (inventory, sizes)
 
     def test_indexed_probe_cost_is_flat_in_the_inventory(self, rows):
-        for strategy in RETE_FAMILY:
+        for strategy in (*RETE_FAMILY, "patterns"):
             small, large = sorted(
                 (
                     row
@@ -119,8 +119,10 @@ class TestA7Shape:
             assert large["probes/event"] < 1.5 * small["probes/event"], (
                 small, large,
             )
-            # ... while the interpreted scan pays for every resident row.
-            assert large["interp_cmp"] > 4 * small["interp_cmp"]
+            # ... while the interpreted Rete scan pays for every resident
+            # row (the COND shape directory is not a compile-mode feature).
+            if strategy in RETE_FAMILY:
+                assert large["interp_cmp"] > 4 * small["interp_cmp"]
 
     def test_uncompiled_reference_rows_are_untouched(self, rows):
         """The patterns strategy never compiles: its counters must be

@@ -112,11 +112,15 @@ def report_e1(
         for run in compare_strategies(
             workload.program, stream, CORE_STRATEGIES
         ):
-            row = run.row("comparisons", "joins_computed", "cond_searches")
+            row = run.row(
+                "comparisons", "index_lookups", "joins_computed",
+                "cond_searches",
+            )
             row["rules"] = rules
             rows.append(row)
     columns_first = ["rules", "strategy", "events", "ms", "us/event",
-                     "comparisons", "joins_computed", "cond_searches"]
+                     "comparisons", "index_lookups", "joins_computed",
+                     "cond_searches"]
     rows = [{c: r.get(c, "") for c in columns_first} for r in rows]
     return ("E1  match cost by strategy (§4.2.3 Time)", rows)
 
@@ -588,11 +592,14 @@ def report_a7(
     bit-identical in every paired row; only the operation counts and
     wall-clock change.
 
-    The ``inventory`` rows (Rete family only) run tuple-at-a-time over
+    The ``inventory`` rows run tuple-at-a-time over
     :data:`INVENTORY_PROGRAM` with a resident inventory of that many
     tuples: a scan's cost per event grows with the inventory, an indexed
     probe's does not — ``probes/event`` stays flat as the inventory grows
-    fourfold (gated by ``tools/bench_smoke.py``).
+    fourfold (gated by ``tools/bench_smoke.py``).  That holds for the
+    Rete memories' join indexes and for the matching patterns' COND shape
+    directories alike (the latter are not a compile-mode feature, so a
+    ``patterns`` row probes the same in both columns).
     """
     from repro.obs import Observability
     from repro.workload.generator import mixed_stream
@@ -607,8 +614,6 @@ def report_a7(
     rows: list[dict] = []
     for strategy_name in strategies:
         for source, events, batch_size, inventory in workloads:
-            if inventory != "-" and not strategy_name.startswith("rete"):
-                continue
             runs = {}
             for mode in ("off", "on"):
                 obs = Observability(collect_metrics=True)

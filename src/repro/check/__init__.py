@@ -43,6 +43,7 @@ from repro.check.oracle import (
     Divergence,
     ReplayResult,
     default_matrix,
+    pattern_index_faults,
     replay_config,
     rete_memory_snapshot,
     run_trace,
@@ -70,6 +71,7 @@ __all__ = [
     "generate_trace",
     "load_corpus",
     "load_trace",
+    "pattern_index_faults",
     "replay",
     "replay_config",
     "rete_memory_snapshot",

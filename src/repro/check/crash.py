@@ -133,7 +133,9 @@ def _strip_control_ops(trace: Trace) -> Trace:
     """Crash runs don't model detach/attach (strategy identity is not
     durable state); drop control ops so every profile's traces apply."""
     return trace.with_ops(
-        op for op in trace.ops if op.kind not in ("detach", "attach")
+        op
+        for op in trace.ops
+        if op.kind not in ("detach", "attach", "compact")
     )
 
 

@@ -16,7 +16,10 @@ and asserts that every observable agrees:
 * for the Rete family, the contents of every alpha/beta memory, negative
   node and persisted mirror relation after every cycle — compared across
   configs sharing a strategy, since different strategies legitimately
-  build different networks.
+  build different networks;
+* for the matching-pattern strategy, the health of every COND group's
+  shape directory at every sync point (:func:`pattern_index_faults`) —
+  checked in each cell on its own, since every cell is indexed.
 
 A disagreement (or an exception inside any replay) is reported as a
 :class:`Divergence` naming the two configurations and the first sync
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.engine import BatchSizeTuner, ProductionSystem
 from repro.match import STRATEGIES
+from repro.match.patterns import MatchingPatternsStrategy
 from repro.check.trace import Trace, TraceOp
 from repro.txn.scheduler import ConcurrentScheduler
 
@@ -161,7 +165,8 @@ def default_matrix(
 class Divergence:
     """A reproducible disagreement between two oracle configurations."""
 
-    kind: str  # "conflict" | "fired" | "wm" | "rete-memory" | "error"
+    # "conflict" | "fired" | "wm" | "rete-memory" | "pattern-index" | "error"
+    kind: str
     config: str
     reference: str
     detail: str
@@ -184,6 +189,8 @@ class ReplayResult:
     fired: list[tuple[int, str, tuple]] = field(default_factory=list)
     final_wm: dict[str, tuple] = field(default_factory=dict)
     rete_memories: dict[tuple, dict] = field(default_factory=dict)
+    #: Sync point -> :func:`pattern_index_faults`, unhealthy points only.
+    pattern_faults: dict[tuple, list[str]] = field(default_factory=dict)
 
 
 def rete_index_faults(network) -> list[str]:
@@ -217,6 +224,59 @@ def rete_index_faults(network) -> list[str]:
                     expected.setdefault(key, []).append(row)
             if index != expected:
                 faults.append(f"{bmem.name} on {spec}")
+    return faults
+
+
+def pattern_index_faults(strategy) -> list[str]:
+    """COND shape directories that disagree with a scan of their group.
+
+    Re-derives, from nothing but each group's patterns in admission order,
+    what every shape table and every registered partial-key table must
+    hold, and compares: no zombie or missing pattern, shape tables and
+    buckets in serial order, no empty table or bucket, serials strictly
+    increasing, the template present.  Empty when healthy.
+    """
+    faults = []
+    for class_name, store in sorted(strategy.stores.items()):
+        for (rid, cen), group in store.directories():
+            name = f"{class_name} {rid}/{cen}"
+            patterns = list(group.patterns.values())
+            serials = [pattern.serial for pattern in patterns]
+            if any(a >= b for a, b in zip(serials, serials[1:])) or (
+                serials and serials[-1] >= group.next_serial
+            ):
+                faults.append(f"{name}: serials {serials}")
+            if [p.restrictions for p in patterns] != list(group.patterns):
+                faults.append(f"{name}: group keys")
+            template = group.template
+            if group.patterns.get(template.restrictions) is not template:
+                faults.append(f"{name}: template missing")
+            variables = [
+                position
+                for position, slot in enumerate(template.restrictions)
+                if slot is not None and slot[0] == "var"
+            ]
+            shapes: dict[tuple, dict[tuple, object]] = {}
+            for pattern in patterns:
+                row = pattern.restrictions
+                shape = tuple(p for p in variables if row[p][0] == "const")
+                shapes.setdefault(shape, {})[
+                    tuple(row[p][1] for p in shape)
+                ] = pattern
+            if {k: list(t.items()) for k, t in group.shapes.items()} != {
+                k: list(t.items()) for k, t in shapes.items()
+            }:
+                faults.append(f"{name}: shape tables")
+            for shape, tables in group.partials.items():
+                for positions, table in tables.items():
+                    expected: dict[tuple, list] = {}
+                    for pattern in shapes.get(shape, {}).values():
+                        key = tuple(
+                            pattern.restrictions[p][1] for p in positions
+                        )
+                        expected.setdefault(key, []).append(pattern)
+                    if table != expected:
+                        faults.append(f"{name}: {shape} on {positions}")
     return faults
 
 
@@ -373,15 +433,20 @@ class _Replayer:
                 pool=system.pool,
             )
             self.attached = True
+        elif op.kind == "compact":
+            compact = getattr(system.strategy, "compact", None)
+            if compact is not None:
+                compact(op.index)
 
     def _checkpoint(self, tag: tuple) -> None:
-        self.result.checkpoints[tag] = frozenset(
-            self.system.strategy.conflict_set_keys()
-        )
+        strategy = self.system.strategy
+        self.result.checkpoints[tag] = frozenset(strategy.conflict_set_keys())
         if self.config.strategy in RETE_FAMILY and self.attached:
-            self.result.rete_memories[tag] = rete_memory_snapshot(
-                self.system.strategy
-            )
+            self.result.rete_memories[tag] = rete_memory_snapshot(strategy)
+        elif isinstance(strategy, MatchingPatternsStrategy):
+            faults = pattern_index_faults(strategy)
+            if faults:
+                self.result.pattern_faults[tag] = faults
 
     # -- phases --------------------------------------------------------------
 
@@ -390,7 +455,7 @@ class _Replayer:
         per_op = self._chunk_budget() == 1 and self._tuner is None
         chunk: list[TraceOp] = []
         for position, op in enumerate(self.trace.ops):
-            if op.kind in ("detach", "attach"):
+            if op.kind in ("detach", "attach", "compact"):
                 if chunk:
                     self._apply_chunk(chunk, live)
                     chunk = []
@@ -573,6 +638,15 @@ def run_trace(
                 config=config.label,
                 reference=configs[0].label,
                 detail=traceback.format_exc(limit=8),
+            )
+    for result in results:
+        for tag, faults in result.pattern_faults.items():
+            return Divergence(
+                kind="pattern-index",
+                config=result.config.label,
+                reference=configs[0].label,
+                sync_point=tag,
+                detail=f"COND shape directory out of step: {faults}",
             )
     by_exec: dict[str, ReplayResult] = {}
     for candidate in results:

@@ -17,6 +17,10 @@ Op vocabulary
   a no-op when already detached.
 * ``attach`` — (re)attach a fresh strategy instance, which replays the
   whole WM through its constructor.
+* ``compact`` — ask the strategy to compact its match state (§4.2.3's
+  matching-pattern compaction; ``index`` is the fold cap per condition,
+  ``None`` for lossless subsumption only).  A no-op for strategies with
+  nothing to compact; never changes what matches.
 
 Every op is *total*: it is valid in any state, so any subsequence of a
 trace's ops is itself a valid trace — the property the delta-debugging
@@ -32,7 +36,7 @@ from repro.storage.schema import Value
 
 #: JSON wire format of one op: ["insert", class, [values]] /
 #: ["delete", index] / ["modify", index, {attr: value}] / ["detach"] /
-#: ["attach"].
+#: ["attach"] / ["compact"] / ["compact", cap].
 OpJson = list
 
 
@@ -47,7 +51,9 @@ class TraceOp:
     changes: tuple[tuple[str, Value], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("insert", "delete", "modify", "detach", "attach"):
+        if self.kind not in (
+            "insert", "delete", "modify", "detach", "attach", "compact"
+        ):
             raise ValueError(f"unknown trace op kind {self.kind!r}")
 
     def to_json(self) -> OpJson:
@@ -57,6 +63,8 @@ class TraceOp:
             return ["delete", self.index]
         if self.kind == "modify":
             return ["modify", self.index, dict(self.changes or ())]
+        if self.kind == "compact" and self.index is not None:
+            return ["compact", self.index]
         return [self.kind]
 
     @classmethod
@@ -72,6 +80,8 @@ class TraceOp:
                 index=int(data[1]),
                 changes=tuple(sorted(data[2].items())),
             )
+        if kind == "compact" and len(data) > 1:
+            return cls(kind, index=int(data[1]))
         return cls(kind)
 
     @classmethod
@@ -93,6 +103,10 @@ class TraceOp:
     @classmethod
     def attach(cls) -> "TraceOp":
         return cls("attach")
+
+    @classmethod
+    def compact(cls, cap: int | None = None) -> "TraceOp":
+        return cls("compact", index=cap)
 
 
 @dataclass(frozen=True)

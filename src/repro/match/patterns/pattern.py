@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.analysis import AnalyzedCondition
+from repro.storage.predicate import And, Comparison
 from repro.storage.schema import RelationSchema, Value
 
 #: One attribute restriction: a pinned constant, a still-free variable, or
@@ -39,7 +40,6 @@ def template_restrictions(
     pattern.
     """
     slots: list[Slot] = [None] * schema.arity
-    from repro.storage.predicate import And, Comparison, TruePredicate
 
     def visit(predicate) -> None:
         if isinstance(predicate, Comparison) and predicate.op == "=":
@@ -136,6 +136,10 @@ class PatternTuple:
             compatibility check, the unblock-transition test) must not
             trust them — see ``PatternStore.compact``.  Copies made from an
             approximate row inherit the flag.
+        serial: Admission number within the (RID, CEN) group, assigned by
+            the owning :class:`PatternStore` each time the row enters the
+            group.  Serial order is the group's insertion order, which is
+            the order every COND search reports its hits in.
     """
 
     rid: str
@@ -145,6 +149,7 @@ class PatternTuple:
     supports: dict[int, set[WmeKey]] = field(default_factory=dict)
     original: bool = False
     approximate: bool = False
+    serial: int = 0
 
     @property
     def index(self) -> int:

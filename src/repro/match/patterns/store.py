@@ -1,14 +1,27 @@
 """The COND relations of the matching-pattern scheme.
 
 One :class:`PatternStore` per WM class, holding original condition rows and
-the matching patterns accumulated by propagation.  Patterns are indexed by
+the matching patterns accumulated by propagation.  Patterns are grouped by
 (RID, CEN) and deduplicated by their restriction row, so re-derivation of an
 existing pattern increments its counters instead of storing a copy.
+
+Every group is indexed by a *shape directory* (§4.2.3: "COND relations
+should be indexed"; docs/ALGORITHMS.md §10.4).  A pattern's *shape* is the
+set of template-variable slots it pins; every pattern of one shape is a
+distinct assignment to the same slots, so per shape one hash table from the
+pinned values to the pattern answers both searches the algorithm makes: the
+patterns a WM tuple satisfies (one lookup per shape) and the patterns
+unifiable with a propagated binding row (one lookup per shape, through a
+lazily registered partial-key table when the row pins only part of the
+shape).  A group has at most 2^v shapes for v template variables — fixed by
+the rule, not by the data.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
+from operator import attrgetter
 
 from repro.instrument import Counters
 from repro.lang.analysis import AnalyzedCondition, RuleAnalysis
@@ -17,12 +30,180 @@ from repro.match.patterns.pattern import (
     PatternTuple,
     Restrictions,
     merge,
-    specialize,
     template_restrictions,
 )
 from repro.storage.predicate import compare
 from repro.storage.schema import RelationSchema, Value
 from repro.storage.tuples import StoredTuple
+
+#: Slot positions, ascending: a shape, or the part of one a probe pins.
+Positions = tuple[int, ...]
+
+_serial = attrgetter("serial")
+
+
+def _hit_serial(hit: tuple[PatternTuple, Restrictions]) -> int:
+    return hit[0].serial
+
+
+@cache
+def _split(shape: Positions, pins: Positions) -> tuple[Positions, Positions]:
+    """(slots of *shape* that *pins* also pins, slots only *pins* pins).
+
+    Pure and tiny; the distinct arguments are bounded by the rules' shapes,
+    not by the data.
+    """
+    return (
+        tuple(p for p in shape if p in pins),
+        tuple(p for p in pins if p not in shape),
+    )
+
+
+def _values_at(restrictions: Restrictions, positions: Positions) -> tuple:
+    return tuple(restrictions[p][1] for p in positions)
+
+
+class PatternGroup:
+    """The patterns of one (RID, CEN) and their shape directory.
+
+    ``patterns`` is the group in admission (serial) order.  ``shapes`` maps
+    each shape that currently has patterns to ``{pinned values: pattern}``;
+    ``partials[shape][positions]`` maps the values at *positions* (a
+    non-empty proper subset of *shape*) to the shape's patterns carrying
+    them, in serial order.  A partial table is registered by the first
+    probe that needs it and maintained from then on; a shape table or
+    bucket that empties is dropped.
+
+    Membership changes only through :meth:`add` / :meth:`drop`, so the
+    directory cannot drift from the group.
+    """
+
+    __slots__ = (
+        "template", "var_positions", "patterns", "shapes", "partials",
+        "next_serial",
+    )
+
+    def __init__(self, template: PatternTuple) -> None:
+        self.template = template
+        self.var_positions: Positions = tuple(
+            position
+            for position, slot in enumerate(template.restrictions)
+            if slot is not None and slot[0] == "var"
+        )
+        self.patterns: dict[Restrictions, PatternTuple] = {}
+        self.shapes: dict[Positions, dict[tuple, PatternTuple]] = {}
+        self.partials: dict[
+            Positions, dict[Positions, dict[tuple, list[PatternTuple]]]
+        ] = {}
+        self.next_serial = 0
+        self.add(template)
+
+    def shape_of(self, restrictions: Restrictions) -> Positions:
+        """The template-variable slots *restrictions* pins."""
+        return tuple(
+            p for p in self.var_positions if restrictions[p][0] == "const"
+        )
+
+    def add(self, pattern: PatternTuple) -> None:
+        restrictions = pattern.restrictions
+        pattern.serial = self.next_serial
+        self.next_serial += 1
+        self.patterns[restrictions] = pattern
+        shape = self.shape_of(restrictions)
+        self.shapes.setdefault(shape, {})[
+            _values_at(restrictions, shape)
+        ] = pattern
+        for positions, table in self.partials.get(shape, {}).items():
+            table.setdefault(_values_at(restrictions, positions), []).append(
+                pattern
+            )
+
+    def drop(self, pattern: PatternTuple) -> None:
+        restrictions = pattern.restrictions
+        del self.patterns[restrictions]
+        shape = self.shape_of(restrictions)
+        table = self.shapes[shape]
+        del table[_values_at(restrictions, shape)]
+        if not table:
+            del self.shapes[shape]
+        for positions, partial in self.partials.get(shape, {}).items():
+            key = _values_at(restrictions, positions)
+            bucket = partial[key]
+            bucket.remove(pattern)
+            if not bucket:
+                del partial[key]
+
+    def matching(self, values: tuple[Value, ...]) -> list[PatternTuple]:
+        """Patterns whose pinned slots all agree with *values*, in serial
+        order: one lookup per shape."""
+        found = []
+        for shape, table in self.shapes.items():
+            pattern = table.get(tuple(values[p] for p in shape))
+            if pattern is not None:
+                found.append(pattern)
+        if len(found) > 1:
+            found.sort(key=_serial)
+        return found
+
+    def unifiable(
+        self, desired: Restrictions
+    ) -> list[tuple[PatternTuple, Restrictions]]:
+        """Patterns agreeing with *desired* (the template with some
+        variables pinned) on every slot both pin, in serial order, each
+        with the merged row: the pattern's plus the slots only *desired*
+        pins — the pattern's own ``restrictions`` object when there are
+        none.
+
+        Per shape that is one probe: the shape table when *desired* pins
+        the whole shape (at most one pattern), the partial table on the
+        slots they share otherwise, the whole shape when they share none.
+        No incompatible pattern is touched.
+        """
+        pins = self.shape_of(desired)
+        hits: list[tuple[PatternTuple, Restrictions]] = []
+        runs = 0
+        for shape, table in self.shapes.items():
+            common, extra = _split(shape, pins)
+            if len(common) == len(shape):
+                pattern = table.get(_values_at(desired, shape))
+                found = () if pattern is None else (pattern,)
+            elif common:
+                found = self._partial(shape, common).get(
+                    _values_at(desired, common), ()
+                )
+            else:
+                found = table.values()
+            if not found:
+                continue
+            runs += 1
+            if extra:
+                for pattern in found:
+                    merged = list(pattern.restrictions)
+                    for position in extra:
+                        merged[position] = desired[position]
+                    hits.append((pattern, tuple(merged)))
+            else:
+                hits.extend(
+                    (pattern, pattern.restrictions) for pattern in found
+                )
+        if runs > 1:
+            hits.sort(key=_hit_serial)
+        return hits
+
+    def _partial(
+        self, shape: Positions, positions: Positions
+    ) -> dict[tuple, list[PatternTuple]]:
+        """The partial-key table of *shape* on *positions*, registered (from
+        one pass over the shape, in serial order) on first use."""
+        tables = self.partials.setdefault(shape, {})
+        table = tables.get(positions)
+        if table is None:
+            table = tables[positions] = {}
+            for pattern in self.shapes[shape].values():
+                table.setdefault(
+                    _values_at(pattern.restrictions, positions), []
+                ).append(pattern)
+        return table
 
 
 class PatternStore:
@@ -37,9 +218,7 @@ class PatternStore:
         # id(condition) -> compiled constant-test checker, installed by the
         # owning strategy when match compilation is on (repro.match.compile).
         self.checks: dict[int, object] = {}
-        # (rid, cen) -> restrictions -> pattern
-        self._groups: dict[tuple[str, int], dict[Restrictions, PatternTuple]] = {}
-        self._templates: dict[tuple[str, int], PatternTuple] = {}
+        self._groups: dict[tuple[str, int], PatternGroup] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -47,17 +226,14 @@ class PatternStore:
         self, analysis: RuleAnalysis, condition: AnalyzedCondition
     ) -> PatternTuple:
         """Install the original row for *condition* at compile time."""
-        restrictions = template_restrictions(condition, self.schema)
         pattern = PatternTuple(
             rid=analysis.name,
             cen=condition.cond_number,
-            restrictions=restrictions,
+            restrictions=template_restrictions(condition, self.schema),
             rce=analysis.related_conditions(condition.index),
             original=True,
         )
-        key = (pattern.rid, pattern.cen)
-        self._groups.setdefault(key, {})[restrictions] = pattern
-        self._templates[key] = pattern
+        self._groups[(pattern.rid, pattern.cen)] = PatternGroup(pattern)
         self.counters.patterns_created += 1
         return pattern
 
@@ -65,24 +241,30 @@ class PatternStore:
 
     def template(self, rid: str, cen: int) -> PatternTuple:
         """The original row for (rid, cen)."""
-        return self._templates[(rid, cen)]
+        return self._groups[(rid, cen)].template
 
     def group(self, rid: str, cen: int) -> list[PatternTuple]:
-        """Every pattern (template + specializations) for (rid, cen)."""
-        return list(self._groups.get((rid, cen), {}).values())
+        """Every pattern (template + specializations) for (rid, cen), in
+        admission order."""
+        return list(self._groups[(rid, cen)].patterns.values())
 
     def groups(self) -> Iterator[tuple[tuple[str, int], list[PatternTuple]]]:
         """Iterate over (key, patterns) for every condition in this store."""
-        for key, patterns in self._groups.items():
-            yield key, list(patterns.values())
+        for key, group in self._groups.items():
+            yield key, list(group.patterns.values())
+
+    def directories(self) -> Iterator[tuple[tuple[str, int], PatternGroup]]:
+        """Iterate over (key, group) — the shape directories themselves, for
+        introspection and the index-fault oracle."""
+        return iter(self._groups.items())
 
     def pattern_count(self) -> int:
         """Total stored rows (templates included)."""
-        return sum(len(group) for group in self._groups.values())
+        return sum(len(group.patterns) for group in self._groups.values())
 
     def derived_count(self) -> int:
         """Stored matching patterns (templates excluded)."""
-        return self.pattern_count() - len(self._templates)
+        return self.pattern_count() - len(self._groups)
 
     # -- matching ---------------------------------------------------------------
 
@@ -91,48 +273,44 @@ class PatternStore:
         condition: AnalyzedCondition,
         rid: str,
         wme: StoredTuple,
-    ) -> list[tuple[PatternTuple, dict[str, Value]]]:
-        """Patterns of (rid, condition) that *wme* satisfies, with bindings.
+    ) -> tuple[list[PatternTuple], dict[str, Value] | None]:
+        """Patterns of (rid, condition) that *wme* satisfies, in admission
+        order, and the bindings the match produces (``None``: no match).
 
         A tuple satisfies a pattern when it satisfies the underlying
         condition element *and* agrees with every pinned constant slot.
-        This is the paper's "Search relation COND-C for tuples matching t".
+        This is the paper's "Search relation COND-C for tuples matching t":
+        one hash lookup per shape, keyed by the tuple's values at the
+        shape's slots.  Dictionary-key equality is ``compare("=")`` on
+        stored values (a ``str`` never equals a non-``str``, ``1 == 1.0``,
+        ``nil`` only equals ``nil``).
         """
+        env = self._search_bindings(condition, wme)
+        if env is None:
+            return [], None
+        group = self._groups[(rid, condition.cond_number)]
+        self.counters.index_lookups += len(group.shapes)
+        return group.matching(wme.values), env
+
+    def _search_bindings(
+        self, condition: AnalyzedCondition, wme: StoredTuple
+    ) -> dict[str, Value] | None:
+        """Count one COND search and apply *condition*'s own tests."""
         self.counters.cond_searches += 1
-        results: list[tuple[PatternTuple, dict[str, Value]]] = []
-        group = self._groups.get((rid, condition.cond_number))
-        if not group:
-            return results
-        env = match_condition(
+        self.counters.comparisons += 1
+        return match_condition(
             condition, self.schema, wme, check=self.checks.get(id(condition))
         )
-        self.counters.comparisons += 1
-        if env is None:
-            return results
-        for pattern in group.values():
-            self.counters.comparisons += 1
-            if self._tuple_agrees(pattern.restrictions, wme):
-                results.append((pattern, env))
-        return results
-
-    def _tuple_agrees(self, restrictions: Restrictions, wme: StoredTuple) -> bool:
-        for slot, value in zip(restrictions, wme.values):
-            if slot is not None and slot[0] == "const":
-                if not compare("=", slot[1], value):
-                    return False
-        return True
 
     def compatible_with(
         self, rid: str, cen: int, desired: Restrictions
     ) -> list[tuple[PatternTuple, Restrictions]]:
-        """Patterns unifiable with *desired*, with the merged restrictions."""
-        results: list[tuple[PatternTuple, Restrictions]] = []
-        for pattern in self.group(rid, cen):
-            self.counters.comparisons += 1
-            merged = merge(pattern.restrictions, desired)
-            if merged is not None:
-                results.append((pattern, merged))
-        return results
+        """Patterns of (rid, cen) unifiable with *desired*, in admission
+        order, each with the merged restrictions — one hash lookup per
+        shape (:meth:`PatternGroup.unifiable`)."""
+        group = self._groups[(rid, cen)]
+        self.counters.index_lookups += len(group.shapes)
+        return group.unifiable(desired)
 
     def find_or_create(
         self,
@@ -142,9 +320,8 @@ class PatternStore:
         """Return the pattern with *merged* restrictions, creating it from
         *source* (counters copied) when absent.  Second result: created?
         """
-        key = (source.rid, source.cen)
-        group = self._groups.setdefault(key, {})
-        existing = group.get(merged)
+        group = self._groups[(source.rid, source.cen)]
+        existing = group.patterns.get(merged)
         if existing is not None:
             return existing, False
         pattern = PatternTuple(
@@ -156,7 +333,7 @@ class PatternStore:
             original=False,
             approximate=source.approximate,
         )
-        group[merged] = pattern
+        group.add(pattern)
         self.counters.patterns_created += 1
         return pattern, True
 
@@ -166,15 +343,15 @@ class PatternStore:
         Identity-guarded: compaction removes rows from the group without
         touching the owner's reverse support index, so a later deletion can
         drain a *zombie* row and ask to discard it after a live successor
-        with the same restrictions has been re-derived.  Popping by
+        with the same restrictions has been re-derived.  Dropping by
         restriction key alone would evict the successor and lose its
         supports; only the exact object stored in the group is removed.
         """
         if pattern.original:
             return
-        group = self._groups.get((pattern.rid, pattern.cen))
-        if group is not None and group.get(pattern.restrictions) is pattern:
-            del group[pattern.restrictions]
+        group = self._groups[(pattern.rid, pattern.cen)]
+        if group.patterns.get(pattern.restrictions) is pattern:
+            group.drop(pattern)
 
     # -- compaction (§4.2.3 future work) ----------------------------------------
 
@@ -210,40 +387,38 @@ class PatternStore:
         folded support set so the owner can maintain its reverse index.
         """
         removed = 0
-        for key, group in list(self._groups.items()):
+        for group in self._groups.values():
             removed += self._compact_subsumed(group)
             if max_per_condition is not None:
                 removed += self._fold_group(
-                    key, group, max_per_condition, on_transfer
+                    group, max_per_condition, on_transfer
                 )
         return removed
 
-    def _compact_subsumed(self, group: dict) -> int:
+    def _compact_subsumed(self, group: PatternGroup) -> int:
         removed = 0
-        for candidate in list(group.values()):
-            if candidate.original or candidate.restrictions not in group:
+        patterns = group.patterns
+        for candidate in list(patterns.values()):
+            if candidate.original:
                 continue
-            for other in list(group.values()):
+            for other in list(patterns.values()):
                 if other is candidate:
                     continue
                 if _generalizes(
                     other.restrictions, candidate.restrictions
                 ) and _covers_supports(other, candidate):
-                    del group[candidate.restrictions]
+                    group.drop(candidate)
                     removed += 1
                     break
         return removed
 
     def _fold_group(
-        self,
-        key: tuple[str, int],
-        group: dict,
-        max_per_condition: int,
-        on_transfer,
+        self, group: PatternGroup, max_per_condition: int, on_transfer
     ) -> int:
         removed = 0
-        while len(group) > max(max_per_condition, 1):
-            derived = [p for p in group.values() if not p.original]
+        patterns = group.patterns
+        while len(patterns) > max(max_per_condition, 1):
+            derived = [p for p in patterns.values() if not p.original]
             if not derived:
                 break
             victim = min(
@@ -253,7 +428,7 @@ class PatternStore:
                     repr(p.restrictions),
                 ),
             )
-            target = self._most_general_cover(group, victim)
+            target = self._most_general_cover(patterns.values(), victim)
             if target is None:
                 break
             for rce_index, bucket in victim.supports.items():
@@ -266,15 +441,15 @@ class PatternStore:
             # victim's narrower bindings; flag it so mark-based pruning
             # stops trusting them (completeness over precision).
             target.approximate = True
-            del group[victim.restrictions]
+            group.drop(victim)
             removed += 1
         return removed
 
     @staticmethod
-    def _most_general_cover(group: dict, victim: PatternTuple):
+    def _most_general_cover(patterns, victim: PatternTuple):
         covers = [
             p
-            for p in group.values()
+            for p in patterns
             if p is not victim
             and _generalizes(p.restrictions, victim.restrictions)
         ]
@@ -295,21 +470,15 @@ class PatternStore:
 
     # -- bindings / display ---------------------------------------------------------
 
-    def pattern_bindings(
-        self, condition: AnalyzedCondition, pattern: PatternTuple
-    ) -> dict[str, Value]:
+    def pattern_bindings(self, pattern: PatternTuple) -> dict[str, Value]:
         """Variable bindings implied by the pattern's pinned slots."""
-        template = template_restrictions(condition, self.schema)
-        bindings: dict[str, Value] = {}
-        for slot, original in zip(pattern.restrictions, template):
-            if (
-                slot is not None
-                and slot[0] == "const"
-                and original is not None
-                and original[0] == "var"
-            ):
-                bindings[str(original[1])] = slot[1]
-        return bindings
+        group = self._groups[(pattern.rid, pattern.cen)]
+        template = group.template.restrictions
+        restrictions = pattern.restrictions
+        return {
+            str(template[p][1]): restrictions[p][1]
+            for p in group.shape_of(restrictions)
+        }
 
     def display_rows(
         self, negated_indices_of: dict[str, frozenset[int]]
@@ -319,10 +488,35 @@ class PatternStore:
         for (rid, _cen), group in sorted(self._groups.items()):
             negated = negated_indices_of.get(rid, frozenset())
             ordered = sorted(
-                group.values(), key=lambda p: (not p.original, repr(p.restrictions))
+                group.patterns.values(),
+                key=lambda p: (not p.original, repr(p.restrictions)),
             )
             for pattern in ordered:
                 rows.append(pattern.display_row(self.schema, negated))
+        return rows
+
+    def describe_groups(self) -> list[dict]:
+        """Per (RID, CEN) group: how many patterns, over how many shapes,
+        and the partial-key buckets registered so far (count and the
+        largest — what one partial probe can hand back at most)."""
+        rows = []
+        for (rid, cen), group in sorted(self._groups.items()):
+            buckets = [
+                len(bucket)
+                for tables in group.partials.values()
+                for table in tables.values()
+                for bucket in table.values()
+            ]
+            rows.append(
+                {
+                    "rule": rid,
+                    "cen": cen,
+                    "patterns": len(group.patterns),
+                    "shapes": len(group.shapes),
+                    "buckets": len(buckets),
+                    "largest": max(buckets, default=0),
+                }
+            )
         return rows
 
     def cell_count(self) -> int:
@@ -347,6 +541,50 @@ def _covers_supports(general: PatternTuple, specific: PatternTuple) -> bool:
         if not bucket <= general.supports.get(rce_index, set()):
             return False
     return True
+
+
+# -- reference scans ----------------------------------------------------------
+#
+# The searches as the paper states them — test every pattern of the group —
+# kept as the definition the shape directory must agree with, hit for hit
+# and in the same order.  Only tests and the fuzz oracle call them.
+
+
+def scan_matches_of(
+    store: PatternStore,
+    condition: AnalyzedCondition,
+    rid: str,
+    wme: StoredTuple,
+) -> tuple[list[PatternTuple], dict[str, Value] | None]:
+    """:meth:`PatternStore.matches_of` by linear scan."""
+    env = store._search_bindings(condition, wme)
+    if env is None:
+        return [], None
+    found = []
+    for pattern in store.group(rid, condition.cond_number):
+        store.counters.comparisons += 1
+        if all(
+            compare("=", slot[1], value)
+            for slot, value in zip(pattern.restrictions, wme.values)
+            if slot is not None and slot[0] == "const"
+        ):
+            found.append(pattern)
+    return found, env
+
+
+def scan_compatible_with(
+    store: PatternStore, rid: str, cen: int, desired: Restrictions
+) -> list[tuple[PatternTuple, Restrictions]]:
+    """:meth:`PatternStore.compatible_with` by one ``merge`` per pattern."""
+    hits = []
+    for pattern in store.group(rid, cen):
+        store.counters.comparisons += 1
+        merged = merge(pattern.restrictions, desired)
+        if merged is not None:
+            if merged == pattern.restrictions:
+                merged = pattern.restrictions
+            hits.append((pattern, merged))
+    return hits
 
 
 def make_stores(

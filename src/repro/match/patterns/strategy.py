@@ -26,6 +26,8 @@ fired candidates that select zero combinations are counted as false drops
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.delta import INSERT, DeltaBatch
 from repro.instrument import SpaceReport
 from repro.lang.analysis import AnalyzedCondition, RuleAnalysis
@@ -33,14 +35,25 @@ from repro.match.base import MatchStrategy
 from repro.match.common import match_condition, result_to_instantiation
 from repro.match.patterns.pattern import (
     PatternTuple,
+    Restrictions,
     WmeKey,
     specialize,
-    template_restrictions,
 )
 from repro.match.patterns.store import PatternStore, make_stores
 from repro.storage.query import evaluate
 from repro.storage.schema import Value
 from repro.storage.tuples import StoredTuple
+
+
+class _Link(NamedTuple):
+    """One propagation edge: a condition element to one of its RCEs."""
+
+    cen: int  # the related condition's CEN
+    store: PatternStore  # ... and its class's COND relation
+    template: Restrictions  # the related condition's original row
+    #: Third-party positive conditions related to both ends — the marks
+    #: §4.2.2's compatibility check compares.
+    shared: tuple[int, ...]
 
 
 class MatchingPatternsStrategy(MatchStrategy):
@@ -67,8 +80,14 @@ class MatchingPatternsStrategy(MatchStrategy):
                 store.checks = self._checks
         self._by_class: dict[str, list[tuple[RuleAnalysis, AnalyzedCondition]]] = {}
         self._negated_indices: dict[str, frozenset[int]] = {}
-        # (wme key) -> {(pattern, rce index)} reverse map for exact deletion.
-        self._support_index: dict[WmeKey, set[tuple[PatternTuple, int]]] = {}
+        # (rid, condition index) -> propagation edges, in RCE order.
+        self._links: dict[tuple[str, int], list[_Link]] = {}
+        # (wme key) -> {(pattern, rce index)} reverse map for exact deletion,
+        # in recording order: withdrawal (and through it act-time selection)
+        # must not depend on where the allocator put the patterns.
+        self._support_index: dict[
+            WmeKey, dict[tuple[PatternTuple, int], None]
+        ] = {}
         # §4.2.3 parallelism accounting: per-event maintenance operations
         # grouped by target COND relation.  Propagation to distinct COND
         # relations is independent, so a parallel system's maintenance
@@ -78,13 +97,44 @@ class MatchingPatternsStrategy(MatchStrategy):
         self.maintenance_parallel_ops = 0
         self._event_profile: dict[str, int] = {}
         for analysis in self.analyses.values():
-            self._negated_indices[analysis.name] = frozenset(
+            negated = frozenset(
                 c.index for c in analysis.conditions if c.negated
             )
+            self._negated_indices[analysis.name] = negated
             for condition in analysis.conditions:
                 self._by_class.setdefault(condition.class_name, []).append(
                     (analysis, condition)
                 )
+                links = self._links[(analysis.name, condition.index)] = []
+                for index in analysis.related_conditions(condition.index):
+                    related = analysis.conditions[index]
+                    if condition.negated and related.negated:
+                        continue  # blockers only matter to positive conditions
+                    links.append(
+                        self._link(analysis, condition, related, negated)
+                    )
+
+    def _link(
+        self,
+        analysis: RuleAnalysis,
+        condition: AnalyzedCondition,
+        related: AnalyzedCondition,
+        negated: frozenset[int],
+    ) -> _Link:
+        store = self.stores[related.class_name]
+        related_rce = analysis.related_conditions(related.index)
+        return _Link(
+            cen=related.cond_number,
+            store=store,
+            template=store.template(
+                analysis.name, related.cond_number
+            ).restrictions,
+            shared=tuple(
+                index
+                for index in analysis.related_conditions(condition.index)
+                if index in related_rce and index not in negated
+            ),
+        )
 
     # -- WM change entry points ------------------------------------------------
 
@@ -146,33 +196,35 @@ class MatchingPatternsStrategy(MatchStrategy):
         Selections earned by fired patterns are appended to *seeded* for the
         caller to run after maintenance settles.
         """
+        contributor: WmeKey = (wme.relation, wme.tid)
         for analysis, condition in self._by_class.get(wme.relation, []):
             store = self.stores[condition.class_name]
-            matches = store.matches_of(condition, analysis.name, wme)
-            if not matches:
+            patterns, bindings = store.matches_of(
+                condition, analysis.name, wme
+            )
+            if not patterns:
                 continue
-            bindings = matches[0][1]
             if condition.negated:
                 self._retract_blocked(analysis, condition, wme)
                 self._propagate(
                     analysis,
-                    store.template(analysis.name, condition.cond_number),
+                    condition,
+                    [store.template(analysis.name, condition.cond_number)],
                     bindings,
-                    contributor=(wme.relation, wme.tid),
+                    contributor,
                     check_compatibility=False,
                 )
             else:
-                patterns = [p for p, _ in matches]
                 if self._union_full(analysis, condition, patterns):
                     seeded.append((analysis, condition, wme))
-                for source in patterns:
-                    self._propagate(
-                        analysis,
-                        source,
-                        bindings,
-                        contributor=(wme.relation, wme.tid),
-                        check_compatibility=True,
-                    )
+                self._propagate(
+                    analysis,
+                    condition,
+                    patterns,
+                    bindings,
+                    contributor,
+                    check_compatibility=True,
+                )
 
     def _delete_maintenance(
         self,
@@ -191,23 +243,19 @@ class MatchingPatternsStrategy(MatchStrategy):
         """
         self.conflict_set.remove_wme(wme)
         contributor: WmeKey = (wme.relation, wme.tid)
-        entries = self._support_index.pop(contributor, set())
-        for pattern, rce_index in entries:
+        for pattern, rce_index in self._support_index.pop(contributor, ()):
             analysis = self.analyses[pattern.rid]
             negated = self._negated_indices[pattern.rid]
             condition = analysis.conditions[pattern.index]
-            was_full = pattern.is_full(negated)
+            unblocks = rce_index in negated and not condition.negated
+            was_full = unblocks and pattern.is_full(negated)
             if not pattern.remove_support(rce_index, contributor):
                 continue
             self.counters.patterns_updated += 1
             self._tally_maintenance(condition.class_name)
-            if (
-                rce_index in negated
-                and not condition.negated
-                and (
-                    pattern.approximate
-                    or (not was_full and pattern.is_full(negated))
-                )
+            if unblocks and (
+                pattern.approximate
+                or (not was_full and pattern.is_full(negated))
             ):
                 fired[id(pattern)] = (analysis, condition, pattern)
             if pattern.all_zero() and not pattern.original:
@@ -243,63 +291,72 @@ class MatchingPatternsStrategy(MatchStrategy):
     def _propagate(
         self,
         analysis: RuleAnalysis,
-        source: PatternTuple,
+        condition: AnalyzedCondition,
+        sources: list[PatternTuple],
         bindings: dict[str, Value],
         contributor: WmeKey,
         check_compatibility: bool,
     ) -> None:
-        """Propagate one matched pattern's bindings to its related COND rows.
+        """Propagate the bindings of one matched tuple to the COND rows of
+        its condition's related elements, once per matched pattern.
 
-        For a positive source this records support; for a negated source
+        For positive *sources* this records support; for a negated source
         (``check_compatibility=False``) it records a blocker.  Both create
         new matching patterns when the propagated bindings specialize an
         existing row.
-        """
-        negated = self._negated_indices[analysis.name]
-        source_negated = source.index in negated
-        for related_index in source.rce:
-            related = analysis.conditions[related_index]
-            if source_negated and related.negated:
-                continue  # blockers only matter to positive conditions
-            store = self.stores[related.class_name]
-            desired = specialize(
-                template_restrictions(related, store.schema), bindings
-            )
-            for target, merged in store.compatible_with(
-                analysis.name, related.cond_number, desired
-            ):
-                if check_compatibility and not self._marks_compatible(
-                    source, target, negated
-                ):
-                    continue
-                if merged == target.restrictions:
-                    adjusted = target
-                else:
-                    adjusted, created = store.find_or_create(target, merged)
-                    if created:
-                        self._register_copied_supports(adjusted)
-                self._record(adjusted, source.index, contributor)
 
-    def _record(
-        self, pattern: PatternTuple, rce_index: int, contributor: WmeKey
-    ) -> None:
-        if pattern.add_support(rce_index, contributor):
-            self.counters.patterns_updated += 1
-            analysis = self.analyses[pattern.rid]
-            self._tally_maintenance(
-                analysis.conditions[pattern.index].class_name
+        Every source is a pattern of *condition* matched by the same tuple,
+        so all of them propagate the same bindings to the same related
+        groups: each group is searched once and only the §4.2.2 mark test
+        runs per source.  A pattern an earlier source creates here is not
+        shown to a later one — it already carries this contributor's
+        support, so revisiting it could only be a no-op.
+        """
+        rid = analysis.name
+        index = condition.index
+        for link in self._links[(rid, index)]:
+            store = link.store
+            hits = store.compatible_with(
+                rid, link.cen, specialize(link.template, bindings)
             )
-            self._support_index.setdefault(contributor, set()).add(
-                (pattern, rce_index)
-            )
+            for source in sources:
+                unmarked = (
+                    [k for k in link.shared if not source.supports.get(k)]
+                    if check_compatibility
+                    else ()
+                )
+                for target, merged in hits:
+                    if unmarked and not self._marks_compatible(
+                        unmarked, target
+                    ):
+                        continue
+                    if merged is target.restrictions:
+                        adjusted = target
+                    else:
+                        adjusted, created = store.find_or_create(
+                            target, merged
+                        )
+                        if created:
+                            self._register_copied_supports(adjusted)
+                    if adjusted.add_support(index, contributor):
+                        self.counters.patterns_updated += 1
+                        self._tally_maintenance(store.class_name)
+                        self._index_support(contributor, adjusted, index)
 
     def _register_copied_supports(self, pattern: PatternTuple) -> None:
         """Index the contributors a freshly-created pattern inherited."""
         for rce_index, bucket in pattern.supports.items():
             for contributor in bucket:
-                self._support_index.setdefault(contributor, set()).add(
-                    (pattern, rce_index)
-                )
+                self._index_support(contributor, pattern, rce_index)
+
+    def _index_support(
+        self, contributor: WmeKey, pattern: PatternTuple, rce_index: int
+    ) -> None:
+        """Remember, for exact deletion, that *pattern* counts *contributor*
+        under *rce_index*."""
+        self._support_index.setdefault(contributor, {})[
+            (pattern, rce_index)
+        ] = None
 
     def _union_full(
         self,
@@ -327,12 +384,12 @@ class MatchingPatternsStrategy(MatchStrategy):
         return True
 
     @staticmethod
-    def _marks_compatible(
-        source: PatternTuple, target: PatternTuple, negated: frozenset[int]
-    ) -> bool:
+    def _marks_compatible(unmarked: list[int], target: PatternTuple) -> bool:
         """§4.2.2: "each Mark bit must be set in T if the corresponding Mark
         bit is set in the matching tuple M" — over the third-party positive
-        related conditions the two patterns share.
+        related conditions the two patterns share (``_Link.shared``).
+        *unmarked* lists those whose mark is not set in M; the caller skips
+        the test when there are none.
 
         A target made *approximate* by folding compaction carries inflated
         counters, so a set mark on it no longer proves binding-consistent
@@ -344,11 +401,9 @@ class MatchingPatternsStrategy(MatchStrategy):
         """
         if target.approximate:
             return True
-        shared = set(source.rce) & set(target.rce)
-        for index in shared:
-            if index in negated:
-                continue
-            if target.count(index) > 0 and source.count(index) == 0:
+        supports = target.supports
+        for index in unmarked:
+            if supports.get(index):
                 return False
         return True
 
@@ -382,7 +437,7 @@ class MatchingPatternsStrategy(MatchStrategy):
     ) -> None:
         """Select WM combinations within a pattern's pinned bindings."""
         store = self.stores[condition.class_name]
-        seed_bindings = store.pattern_bindings(condition, pattern)
+        seed_bindings = store.pattern_bindings(pattern)
         found = False
         for result in evaluate(
             analysis.to_conjuncts(),
@@ -425,9 +480,7 @@ class MatchingPatternsStrategy(MatchStrategy):
 
         def on_transfer(target: PatternTuple, rce_index: int, contributors) -> None:
             for contributor in contributors:
-                self._support_index.setdefault(contributor, set()).add(
-                    (target, rce_index)
-                )
+                self._index_support(contributor, target, rce_index)
 
         return sum(
             store.compact(max_per_condition, on_transfer)
@@ -459,14 +512,16 @@ class MatchingPatternsStrategy(MatchStrategy):
         return self.stores[class_name].display_rows(self._negated_indices)
 
     def describe(self) -> dict:
-        """Base summary plus per-COND-relation pattern cardinalities —
-        the pattern scheme's analogue of per-node Rete introspection."""
+        """Base summary plus per-COND-relation pattern cardinalities and,
+        per (RID, CEN) group, the shape directory's size and skew — the
+        pattern scheme's analogue of per-node Rete introspection."""
         description = super().describe()
         description["stores"] = {
             class_name: {
                 "patterns": store.pattern_count(),
                 "derived": store.derived_count(),
                 "cells": store.cell_count(),
+                "groups": store.describe_groups(),
             }
             for class_name, store in sorted(self.stores.items())
         }

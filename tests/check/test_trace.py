@@ -16,13 +16,18 @@ def sample_ops():
         TraceOp.modify(3, {"size": 9}),
         TraceOp.detach(),
         TraceOp.attach(),
+        TraceOp.compact(),
+        TraceOp.compact(2),
     )
 
 
 class TestTraceOp:
     def test_constructors_set_kind(self):
         kinds = [op.kind for op in sample_ops()]
-        assert kinds == ["insert", "delete", "modify", "detach", "attach"]
+        assert kinds == [
+            "insert", "delete", "modify", "detach", "attach",
+            "compact", "compact",
+        ]
 
     def test_modify_changes_are_sorted_tuples(self):
         op = TraceOp.modify(0, {"b": 1, "a": 2})
@@ -52,6 +57,8 @@ class TestTraceJson:
         assert data["ops"][2] == ["modify", 3, {"size": 9}]
         assert data["ops"][3] == ["detach"]
         assert data["ops"][4] == ["attach"]
+        assert data["ops"][5] == ["compact"]
+        assert data["ops"][6] == ["compact", 2]
 
     def test_unknown_op_kind_rejected(self):
         data = {

@@ -177,3 +177,62 @@ class TestSpaceAccounting:
         assert report.strategy == "patterns"
         assert report.stored_patterns == report.detail["templates"] + \
             report.detail["derived_patterns"]
+
+
+class TestWithdrawalOrder:
+    """Support is withdrawn in the order it was recorded — not in the
+    order the allocator happened to place the patterns (the reverse
+    support index used to be a set of identity-hashed patterns)."""
+
+    SOURCE = """
+    (literalize A v w)
+    (literalize B v)
+    (literalize C v)
+    (literalize D w)
+    (p tri (A ^v <x> ^w <y>) (B ^v <x>) (D ^w <y>) -(C ^v <x>)
+        --> (remove 1))
+    """
+
+    def test_withdrawal_order_equals_recording_order(self, monkeypatch):
+        from repro.match.patterns import PatternTuple
+
+        wm, strategy = build(self.SOURCE)
+        for n in range(5):
+            wm.insert("D", (n,))
+        recorded, withdrawn = [], []
+        add_support = PatternTuple.add_support
+        remove_support = PatternTuple.remove_support
+
+        def add_spy(pattern, rce_index, contributor):
+            if contributor[0] == "B":
+                recorded.append((pattern, rce_index))
+            return add_support(pattern, rce_index, contributor)
+
+        def remove_spy(pattern, rce_index, contributor):
+            withdrawn.append((pattern, rce_index))
+            return remove_support(pattern, rce_index, contributor)
+
+        monkeypatch.setattr(PatternTuple, "add_support", add_spy)
+        monkeypatch.setattr(PatternTuple, "remove_support", remove_spy)
+        wme = wm.insert("B", (1,))
+        assert len(recorded) > 5
+        wm.remove(wme)
+        assert withdrawn == recorded
+
+    def test_fired_order_repeats_across_runs(self):
+        """Removing a blocker fires the patterns it was blocking; their
+        act-time selections must add to the conflict set in one order."""
+        orders = []
+        for _ in range(3):
+            wm, strategy = build(self.SOURCE)
+            blocker = wm.insert("C", (1,))
+            wm.insert("B", (1,))
+            for n in range(4):
+                wm.insert("A", (1, n))
+                wm.insert("D", (n,))
+            junk = [object() for _ in range(1000)]  # shift the allocator
+            wm.remove(blocker)
+            orders.append([i.key for i in strategy.conflict_set])
+            del junk
+        assert len(orders[0]) == 4
+        assert orders[0] == orders[1] == orders[2]

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.drivers import drive_stream
-from repro.check.oracle import rete_memory_snapshot
+from repro.check.oracle import pattern_index_faults, rete_memory_snapshot
 from repro.engine import WorkingMemory
 from repro.instrument import Counters
 from repro.lang import analyze_program, parse_program
@@ -84,6 +84,8 @@ def test_batch_sizes_agree_per_strategy(seed):
     for batch_size in BATCH_SIZES:
         strategies = run_all_strategies(events, batch_size)
         assert_all_agree(strategies, f"seed={seed} batch={batch_size}")
+        (patterns,) = [s for s in strategies if s.strategy_name == "patterns"]
+        assert pattern_index_faults(patterns) == [], f"batch={batch_size}"
         outcomes[batch_size] = {
             s.strategy_name: (s.conflict_set_keys(), s.space_report())
             for s in strategies
@@ -223,6 +225,8 @@ def test_compiled_mode_is_bit_identical_to_interpreted(seed):
                     _rete_memory_snapshot(cand)
                     == _rete_memory_snapshot(ref)
                 ), f"{label}: compiled memory contents diverged"
+            elif ref.strategy_name == "patterns":
+                assert pattern_index_faults(cand) == [], label
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])

@@ -124,21 +124,22 @@ class TestReportsSmoke:
         from repro.bench.report import report_a7
 
         _, rows = report_a7(
-            stream_length=60, batch_sizes=(8,), strategies=("rete",),
-            inventories=(40, 160),
+            stream_length=60, batch_sizes=(8,),
+            strategies=("rete", "patterns"), inventories=(40, 160),
         )
         assert [(r["batch"], r["inventory"]) for r in rows] == [
             (8, "-"), (1, 40), (1, 160),
-        ]
+        ] * 2
         # The pairing asserts bit-identical conflict sets internally; the
         # size of the payoff is gated at full size by
         # benchmarks/bench_a7_compile.py and tools/bench_smoke.py.
         for row in rows:
             assert 0 < row["compiled_cmp"] <= row["interp_cmp"]
             assert row["conflict_size"] > 0 and row["probes/event"] > 0
-        # An indexed probe costs a bucket: a 4x inventory barely moves it.
-        small, large = rows[1], rows[2]
-        assert large["probes/event"] < 1.5 * small["probes/event"]
+        # An indexed probe costs a bucket — in a Rete memory and in a COND
+        # shape directory alike: a 4x inventory barely moves it.
+        for small, large in ((rows[1], rows[2]), (rows[4], rows[5])):
+            assert large["probes/event"] < 1.5 * small["probes/event"]
 
     def test_a8(self):
         from repro.bench.report import report_a8

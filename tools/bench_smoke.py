@@ -23,7 +23,8 @@ tenant's exactly-once ``applied_seq`` recovered intact after the
 in-process ``kill -9`` stand-in.  The A10 rows gate the replication
 invariants the same way: zero steady-state lag under semi-sync acks,
 the full acked stream surviving promotion, and exactly one fencing
-epoch bump.  The A7 inventory rows gate the indexed join memories: the
+epoch bump.  The A7 inventory rows gate the indexed join memories and,
+through their ``patterns`` rows, the COND shape directories: the
 compiled ``comparisons + index_lookups`` per event must grow less than
 1.5x when the resident inventory grows 4x (a scan grows 4x).
 
@@ -92,7 +93,7 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
     title_a7, rows_a7 = report_a7(
         stream_length=stream_length,
         batch_sizes=(64,),
-        strategies=("rete", "rete-shared"),
+        strategies=("rete", "rete-shared", "patterns"),
         inventories=INVENTORIES,
     )
     title_a8, rows_a8 = report_a8(
@@ -171,7 +172,8 @@ def scaling_failures(payload: dict, bound: float = SCALING_WIN_BOUND) -> list[st
 def indexing_failures(
     payload: dict, bound: float = INDEXED_GROWTH_BOUND
 ) -> list[str]:
-    """A7 acceptance: a keyed probe costs a bucket, not the memory.
+    """A7 acceptance: a keyed probe costs a bucket, not the memory (Rete
+    family) or the group (``patterns``).
 
     Per strategy, the compiled ``probes/event`` of the largest-inventory
     row over the smallest's must stay under *bound* although the
