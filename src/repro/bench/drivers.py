@@ -31,9 +31,6 @@ class StrategyRun:
     conflict_additions: int = 0
     conflict_size: int = 0
     metrics: dict | None = None
-    #: Deterministic work-distribution totals when the run used a worker
-    #: pool (see :class:`repro.parallel.PoolStats`); ``None`` for serial.
-    pool_stats: dict | None = None
 
     def row(self, *counter_names: str) -> dict:
         """A table row with selected counters."""
@@ -62,24 +59,12 @@ def build_system(
     backend: str = "memory",
     obs: Observability | None = None,
     compile_mode: str = "off",
-    workers: int = 1,
 ) -> tuple[WorkingMemory, MatchStrategy]:
-    """A fresh WM plus one attached strategy with its own counters.
-
-    ``workers > 1`` attaches a :class:`repro.parallel.WorkerPool` to the
-    strategy (reachable as ``strategy.pool``; callers should ``close()``
-    it when done, though garbage collection also reclaims the threads).
-    """
+    """A fresh WM plus one attached strategy with its own counters."""
     program, analyses = resolve_program(source)
     wm = WorkingMemory(program.schemas, backend=backend, obs=obs)
-    pool = None
-    if workers > 1:
-        from repro.parallel import WorkerPool
-
-        pool = WorkerPool(workers, obs=obs)
     strategy = STRATEGIES[strategy_name](
-        wm, analyses, counters=Counters(), compile_mode=compile_mode,
-        pool=pool,
+        wm, analyses, counters=Counters(), compile_mode=compile_mode
     )
     return wm, strategy
 
@@ -163,19 +148,15 @@ def run_stream(
     obs: Observability | None = None,
     batch_size: int = 1,
     compile_mode: str = "off",
-    workers: int = 1,
 ) -> StrategyRun:
     """Drive *events* through one strategy, measuring time and counters.
 
     With an enabled *obs*, the run's final metrics snapshot (including the
     absorbed operation counters) is attached as ``StrategyRun.metrics``.
-    ``workers > 1`` runs the match phase over a worker pool (closed
-    before returning); its work-distribution totals land in
-    ``StrategyRun.pool_stats``.
     """
     wm, strategy = build_system(
         source, strategy_name, backend=backend, obs=obs,
-        compile_mode=compile_mode, workers=workers,
+        compile_mode=compile_mode,
     )
     start = time.perf_counter()
     count, _live = drive_stream(wm, events, batch_size=batch_size)
@@ -184,10 +165,6 @@ def run_stream(
     if obs is not None and obs.enabled:
         obs.metrics.absorb_counters(strategy.counters)
         metrics_snapshot = obs.metrics.snapshot()
-    pool_stats = None
-    if strategy.pool is not None:
-        pool_stats = strategy.pool.stats.as_dict()
-        strategy.pool.close()
     return StrategyRun(
         strategy=strategy.strategy_name,
         events=count,
@@ -197,7 +174,6 @@ def run_stream(
         conflict_additions=strategy.conflict_set.additions,
         conflict_size=len(strategy.conflict_set),
         metrics=metrics_snapshot,
-        pool_stats=pool_stats,
     )
 
 

@@ -20,7 +20,6 @@ import time
 from repro.bench.drivers import (
     build_system,
     compare_strategies,
-    drive_stream,
     inserts_as_events,
     run_stream,
 )
@@ -655,78 +654,6 @@ def report_a7(
 
 
 # ---------------------------------------------------------------------------
-# A8 — parallel sharded match vs the serial reference
-# ---------------------------------------------------------------------------
-
-
-def report_a8(
-    stream_length: int = 1000,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    strategies: tuple[str, ...] = ("rete", "rete-shared"),
-    batch_size: int = 64,
-) -> Report:
-    """Sharded parallel match against the serial reference loop.
-
-    The A5 churn workload is driven through each Rete strategy at
-    several pool sizes.  The determinism contract (docs/PARALLELISM.md)
-    is asserted inside every pairing: the conflict set is bit-identical
-    at any worker count.  What the table shows is the *work
-    distribution*: items fanned out, the critical path of the
-    round-robin assignment over worker slots, and the scheduling-
-    independent ``speedup_bound = items / critical_path`` — the §5.2
-    makespan measure, which is what grows with the pool.  Wall clock and
-    events/sec are recorded but never gated; on a GIL build with few
-    cores they understate the bound.
-    """
-    from repro.workload.generator import mixed_stream
-
-    spec = WorkloadSpec(rules=15, classes=5, seed=23)
-    workload = generate_program(spec)
-    stream = mixed_stream(spec, stream_length, delete_fraction=0.25)
-    rows: list[dict] = []
-    for strategy_name in strategies:
-        reference_keys = None
-        for workers in worker_counts:
-            wm, strategy = build_system(
-                workload.program, strategy_name, workers=workers
-            )
-            started = time.perf_counter()
-            count, _live = drive_stream(wm, stream, batch_size=batch_size)
-            elapsed = time.perf_counter() - started
-            keys = strategy.conflict_set_keys()
-            if reference_keys is None:
-                reference_keys = keys
-            assert keys == reference_keys, (
-                f"{strategy_name}: conflict set diverged at workers={workers}"
-            )
-            pool = strategy.pool
-            stats = (
-                pool.stats.as_dict()
-                if pool is not None
-                else {
-                    "workers": 1, "fanouts": 0, "tasks": 0, "items": 0,
-                    "critical_path_items": 0, "speedup_bound": 1.0,
-                }
-            )
-            rows.append(
-                {
-                    "strategy": strategy_name,
-                    "workers": workers,
-                    "ms": elapsed * 1000,
-                    "events/s": count / elapsed if elapsed else 0.0,
-                    "fanouts": stats["fanouts"],
-                    "fanned_items": stats["items"],
-                    "critical_path": stats["critical_path_items"],
-                    "speedup_bound": stats["speedup_bound"],
-                    "conflict_size": len(keys),
-                }
-            )
-            if pool is not None:
-                pool.close()
-    return ("A8  parallel sharded match (docs/PARALLELISM.md contract)", rows)
-
-
-# ---------------------------------------------------------------------------
 # A6 — WAL overhead and crash-recovery time
 # ---------------------------------------------------------------------------
 
@@ -1136,7 +1063,6 @@ REPORTS = {
     "a5": report_a5,
     "a6": report_a6,
     "a7": report_a7,
-    "a8": report_a8,
     "a9": report_a9,
     "a10": report_a10,
     "e1": report_e1,

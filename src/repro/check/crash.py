@@ -295,7 +295,7 @@ def _firing(exec_mode: str) -> str:
 
 
 def _plain_reference(
-    trace: Trace, backend: str, batch_size, strategy: str, workers: int = 1,
+    trace: Trace, backend: str, batch_size, strategy: str,
     exec_mode: str = "cycle",
 ) -> _Observables:
     """The uninterrupted, WAL-less replay every variant must match."""
@@ -306,7 +306,6 @@ def _plain_reference(
         backend=backend,
         seed=trace.seed,
         batch_size=batch_size,
-        workers=workers,
         firing=_firing(exec_mode),
     )
     observables = _Observables()
@@ -327,7 +326,7 @@ def _plain_reference(
 
 
 def _durable_config(
-    trace: Trace, backend: str, batch_size, strategy: str, workers: int = 1,
+    trace: Trace, backend: str, batch_size, strategy: str,
     exec_mode: str = "cycle",
 ):
     return {
@@ -337,7 +336,6 @@ def _durable_config(
         "seed": trace.seed,
         "batch_size": batch_size,
         "firing": _firing(exec_mode),
-        "workers": workers,
     }
 
 
@@ -351,7 +349,6 @@ def _durable_replay(
     checkpoint_path: str | None = None,
     checkpoint_every: int = 0,
     fsync_every: int = 4,
-    workers: int = 1,
     exec_mode: str = "cycle",
     wal_rotate_bytes: int = 0,
     wal_tap=None,
@@ -362,11 +359,9 @@ def _durable_replay(
     post-crash becomes durable) when *crashpoints* fires anywhere in the
     replay.  A small ``fsync_every`` keeps several unsynced records in
     flight at typical trace sizes, so append-site crashes actually lose
-    data.  ``workers`` is recorded in the WAL meta, so a recovered run
-    rebuilds its worker pool too (and must still match the serial
-    reference bit for bit).  *wal_tap* ships every fsynced record to a
-    replica-cell follower — abandoning the run never taps the unsynced
-    buffer, exactly like a real ``kill -9``.
+    data.  *wal_tap* ships every fsynced record to a replica-cell
+    follower — abandoning the run never taps the unsynced buffer,
+    exactly like a real ``kill -9``.
     """
     system = ProductionSystem(
         trace.program,
@@ -375,15 +370,13 @@ def _durable_replay(
         backend=backend,
         seed=trace.seed,
         batch_size=batch_size,
-        workers=workers,
         firing=_firing(exec_mode),
     )
     run = DurableRun.start(
         system,
         wal_path,
         trace.program,
-        _durable_config(trace, backend, batch_size, strategy, workers,
-                        exec_mode),
+        _durable_config(trace, backend, batch_size, strategy, exec_mode),
         crashpoints=crashpoints,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -570,7 +563,6 @@ def run_crash_trace(
     rng: random.Random | None = None,
     checkpoint_every: int = 0,
     workdir: str | None = None,
-    workers: int = 1,
     exec_mode: str = "cycle",
     wal_rotate_bytes: int | None = None,
     replicate: bool = False,
@@ -578,14 +570,10 @@ def run_crash_trace(
     """Crash one trace at *site* (or a random reachable site), recover,
     finish, and compare against the uninterrupted reference.
 
-    ``workers`` sizes the match worker pool for every replay in the cell
-    — reference, dry run, crashed run and recovery — so crash-recovery
-    is exercised under parallel match too (the determinism contract of
-    docs/PARALLELISM.md extends through the WAL).  ``exec_mode="txn"``
-    runs the recognize-act loop as §5.2 concurrent rounds instead of
-    serial cycles, reaching the mid-round ``txn.*`` crash sites;
-    ``"set"`` runs §5.1 set-firing cycles, so whole-conflict-set
-    boundary records are crashed and replayed too.
+    ``exec_mode="txn"`` runs the recognize-act loop as §5.2 concurrent
+    rounds instead of serial cycles, reaching the mid-round ``txn.*``
+    crash sites; ``"set"`` runs §5.1 set-firing cycles, so
+    whole-conflict-set boundary records are crashed and replayed too.
     Checkpointed cells also rotate their logs every
     :data:`CRASH_ROTATE_BYTES`, so segment rotation, compaction and the
     torn-rotation window (``wal.rotate``) are crashed and recovered too.
@@ -621,7 +609,7 @@ def run_crash_trace(
             os.path.join(directory, "crash.ckpt") if checkpoint_every else None
         )
         reference = _plain_reference(
-            trace, backend, batch_size, strategy, workers, exec_mode
+            trace, backend, batch_size, strategy, exec_mode
         )
 
         # Uninterrupted durable dry run: pins WAL-attached == WAL-off and
@@ -636,17 +624,15 @@ def run_crash_trace(
                 os.path.join(directory, "dry.ckpt") if checkpoint_every else None
             ),
             checkpoint_every=checkpoint_every,
-            workers=workers,
             exec_mode=exec_mode,
             wal_rotate_bytes=rotate_bytes,
         )
         stats["hits"] = {
             name: probe.hits(name) for name in CRASH_SITES if probe.hits(name)
         }
-        w_tag = f"/w{workers}" if workers != 1 else ""
         mode_tag = f"/{exec_mode}" if exec_mode != "cycle" else ""
         finding = _compare(
-            trace, f"{backend}/batch={batch_size}{w_tag}{mode_tag}/wal-dry",
+            trace, f"{backend}/batch={batch_size}{mode_tag}/wal-dry",
             reference, dry,
         )
         if finding is not None:
@@ -669,7 +655,7 @@ def run_crash_trace(
         crashpoints.arm(chosen, after=arm_after)
         replica_tag = "/replica" if replicate else ""
         label = (
-            f"{backend}/batch={batch_size}{w_tag}{mode_tag}{replica_tag}"
+            f"{backend}/batch={batch_size}{mode_tag}{replica_tag}"
             f"/{chosen}@{arm_after}"
         )
         follower = None
@@ -686,7 +672,6 @@ def run_crash_trace(
                 trace, backend, batch_size, strategy, wal_path,
                 crashpoints=crashpoints, checkpoint_path=checkpoint_path,
                 checkpoint_every=checkpoint_every,
-                workers=workers,
                 exec_mode=exec_mode,
                 wal_rotate_bytes=rotate_bytes,
                 wal_tap=wal_tap,
@@ -718,7 +703,6 @@ def run_crash_trace(
                 rerun = _durable_replay(
                     trace, backend, batch_size, strategy,
                     os.path.join(directory, "restart.wal"),
-                    workers=workers,
                     exec_mode=exec_mode,
                 )
                 return _compare(trace, f"{label}/restart", reference, rerun)
@@ -754,7 +738,6 @@ def run_crash_trace(
             rerun = _durable_replay(
                 trace, backend, batch_size, strategy,
                 os.path.join(directory, "restart.wal"),
-                workers=workers,
                 exec_mode=exec_mode,
             )
             return _compare(trace, f"{label}/restart", reference, rerun)
@@ -795,17 +778,14 @@ def run_crash_check(
     checkpoint_every: int = 3,
     save_repro_dir: str | None = None,
     obs: Observability | None = None,
-    worker_counts: tuple[int, ...] = (1,),
     exec_modes: tuple[str, ...] = ("cycle",),
     replicate: bool = False,
 ) -> CrashReport:
     """The ``repro check --crash`` campaign: *budget* traces, each crashed
     at a random reachable site under a rotating backend × batch-size ×
-    worker-count × exec-mode configuration (checkpoints cut every few
-    cycles on half the traces, so both the checkpoint fast path and pure
-    log replay are exercised — and those cells also rotate/compact their
-    log segments; *worker_counts* beyond ``(1,)`` rotates parallel-match
-    cells in, crashing and recovering runs with a live worker pool;
+    exec-mode configuration (checkpoints cut every few cycles on half the
+    traces, so both the checkpoint fast path and pure log replay are
+    exercised — and those cells also rotate/compact their log segments;
     *exec_modes* including ``"txn"`` kills §5.2 scheduler rounds at the
     mid-round ``txn.*`` sites, and ``"set"`` crashes §5.1 set-firing
     cycles).  *replicate* rotates warm-standby cells in on half the
@@ -823,15 +803,11 @@ def run_crash_check(
     )
     backends = tuple(backends)
     batch_sizes = tuple(batch_sizes)
-    worker_counts = tuple(worker_counts) or (1,)
     exec_modes = tuple(exec_modes) or ("cycle",)
     for index in range(budget):
         trace = generate_trace(seed, index, program=program, **generate_kwargs)
         backend = backends[index % len(backends)]
         batch_size = batch_sizes[(index // len(backends)) % len(batch_sizes)]
-        workers = worker_counts[
-            (index // (len(backends) * len(batch_sizes))) % len(worker_counts)
-        ]
         exec_mode = exec_modes[index % len(exec_modes)]
         ckpt_every = checkpoint_every if index % 2 else 0
         replica_cell = replicate and index % 2 == 1
@@ -841,7 +817,6 @@ def run_crash_check(
             trace=trace.name,
             backend=backend,
             batch=str(batch_size),
-            workers=workers,
             exec=exec_mode,
             replica=replica_cell,
         ) as span:
@@ -852,7 +827,6 @@ def run_crash_check(
                 strategy=strategy,
                 rng=rng,
                 checkpoint_every=ckpt_every,
-                workers=workers,
                 exec_mode=exec_mode,
                 replicate=replica_cell,
             )

@@ -49,7 +49,6 @@ COMPILED_FAMILY = (*RETE_FAMILY, "patterns")
 DEFAULT_BACKENDS = ("memory", "sqlite")
 DEFAULT_BATCH_SIZES = (1, 8, "auto")
 DEFAULT_COMPILE_MODES = ("off", "on")
-DEFAULT_WORKER_COUNTS = (1,)
 DEFAULT_EXEC_MODES = ("cycle",)
 
 #: Execution modes for the run-cycles phase: the serial recognize-act
@@ -71,10 +70,6 @@ class CheckConfig:
     reference and compiled ``"on"`` cells must agree bit-for-bit on every
     observable, including rete memory snapshots.
 
-    ``workers`` sizes the match-phase worker pool (``repro.parallel``):
-    a workers>1 cell must stay bit-identical to its workers=1 twin — the
-    determinism contract of ``docs/PARALLELISM.md``, pinned by fuzzing.
-
     ``exec`` selects the run-cycles phase: ``"cycle"`` (the serial
     recognize-act loop), ``"set"`` (§5.1 set-firing) or ``"txn"`` (the
     §5.2 concurrent 2PL scheduler with WAL-style group commit rounds).
@@ -87,7 +82,6 @@ class CheckConfig:
     batch_size: int | str = 1
     lineage: bool = False
     compile: str = "off"
-    workers: int = 1
     exec: str = "cycle"
 
     @property
@@ -95,8 +89,6 @@ class CheckConfig:
         suffix = "/lineage" if self.lineage else ""
         if self.compile != "off":
             suffix += "/compiled"
-        if self.workers != 1:
-            suffix += f"/w{self.workers}"
         if self.exec != "cycle":
             suffix += f"/{self.exec}"
         return f"{self.strategy}/{self.backend}/batch={self.batch_size}{suffix}"
@@ -121,7 +113,6 @@ def default_matrix(
     backends=DEFAULT_BACKENDS,
     batch_sizes=DEFAULT_BATCH_SIZES,
     compile_modes=DEFAULT_COMPILE_MODES,
-    worker_counts=DEFAULT_WORKER_COUNTS,
     exec_modes=DEFAULT_EXEC_MODES,
 ) -> list[CheckConfig]:
     """The full strategy × backend × batch-size × compile-mode matrix.
@@ -130,14 +121,10 @@ def default_matrix(
     class (the mapping form lets tests inject broken shims).  Compiled
     cells are only generated for :data:`COMPILED_FAMILY` strategies, with
     the interpreted ``"off"`` cell always first so it anchors as the
-    reference.  Likewise workers>1 cells are only generated for the
-    :data:`RETE_FAMILY` (the only strategies whose match phase fans out),
-    with the smallest worker count first so it anchors; exec modes keep
-    ``"cycle"`` first for the same reason.
+    reference; exec modes keep ``"cycle"`` first for the same reason.
     """
     names = sorted(resolve_strategies(strategies))
     ordered_modes = sorted(set(compile_modes), key=("off", "auto", "on").index)
-    ordered_workers = sorted(set(worker_counts))
     ordered_execs = sorted(set(exec_modes), key=EXEC_MODES.index)
     return [
         CheckConfig(
@@ -145,7 +132,6 @@ def default_matrix(
             backend=backend,
             batch_size=batch_size,
             compile=mode,
-            workers=workers,
             exec=exec_mode,
         )
         for name in names
@@ -153,9 +139,6 @@ def default_matrix(
         for batch_size in batch_sizes
         for mode in (
             ordered_modes if name in COMPILED_FAMILY else ordered_modes[:1]
-        )
-        for workers in (
-            ordered_workers if name in RETE_FAMILY else ordered_workers[:1]
         )
         for exec_mode in ordered_execs
     ]
@@ -363,7 +346,6 @@ class _Replayer:
             batch_size=config.batch_size,
             lineage=config.lineage,
             compile=config.compile,
-            workers=config.workers,
         )
         self.result = ReplayResult(config=config)
         self.attached = True
@@ -430,7 +412,6 @@ class _Replayer:
                 system.analyses,
                 counters=system.counters,
                 compile_mode=self.config.compile,
-                pool=system.pool,
             )
             self.attached = True
         elif op.kind == "compact":
@@ -497,9 +478,7 @@ class _Replayer:
         """§5.2 concurrent execution: drain conflict-set snapshots Ψi.
 
         Fired records are ``(round, rule, key)`` triples in the round's
-        commit order, so a workers>1 cell must replay the identical
-        commit sequence as its serial twin — the scheduler only fans out
-        the pure lock-planning phase.
+        commit order.
         """
         scheduler = ConcurrentScheduler(self.system)
         for round_no in range(1, self.trace.max_cycles + 1):

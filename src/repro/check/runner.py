@@ -97,7 +97,6 @@ def run_check(
     shrink_failures: bool = True,
     resolutions: tuple[str, ...] | None = None,
     compile_modes: tuple[str, ...] | None = None,
-    worker_counts: tuple[int, ...] | None = None,
     exec_modes: tuple[str, ...] | None = None,
 ) -> CheckReport:
     """Run a fuzz campaign of *budget* traces; returns the report.
@@ -109,10 +108,8 @@ def run_check(
     (each trace records the one it used, so repros stay self-contained).
     *compile_modes* restricts the match-compilation axis (the default
     matrix pairs every compiled-family cell with a compile="on" twin).
-    *worker_counts* adds parallel-match cells (workers>1 must stay
-    bit-identical to workers=1 — docs/PARALLELISM.md); *exec_modes*
-    adds §5.1 set-firing and §5.2 concurrent-scheduler cells, each
-    compared against its own mode's serial reference.
+    *exec_modes* adds §5.1 set-firing and §5.2 concurrent-scheduler
+    cells, each compared against its own mode's serial reference.
     """
     obs = obs or Observability()
     matrix_kwargs = {}
@@ -122,8 +119,6 @@ def run_check(
         matrix_kwargs["batch_sizes"] = tuple(batch_sizes)
     if compile_modes is not None:
         matrix_kwargs["compile_modes"] = tuple(compile_modes)
-    if worker_counts is not None:
-        matrix_kwargs["worker_counts"] = tuple(worker_counts)
     if exec_modes is not None:
         matrix_kwargs["exec_modes"] = tuple(exec_modes)
     configs = default_matrix(strategies, **matrix_kwargs)

@@ -5,7 +5,6 @@
                                         [--backend memory] [--quiet]
                                         [--batch-size N] [--lineage]
                                         [--compile on|off|auto]
-                                        [--workers N]
                                         [--trace-out t.jsonl] [--otel]
                                         [--trace-rotate-bytes N]
                                         [--trace-keep K]
@@ -151,7 +150,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         lineage=args.lineage,
         compile=args.compile,
-        workers=args.workers,
     )
     if args.wal:
         from repro.recovery import DurableRun
@@ -168,7 +166,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "batch_size": args.batch_size,
                 "compile": args.compile,
                 "firing": "instance",
-                "workers": args.workers,
             },
             fsync_every=args.fsync_every,
             checkpoint_path=_checkpoint_path(args),
@@ -209,7 +206,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             firing="instance",
             batch_size=args.batch_size,
             compile=args.compile,
-            workers=args.workers,
             seed=args.seed,
             command=list(sys.argv[1:]) or ["run", args.file],
             git_sha=git_sha(),
@@ -407,17 +403,6 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         compile_modes = tuple(names)
-    worker_counts = None
-    if args.workers:
-        try:
-            worker_counts = tuple(int(text) for text in _csv(args.workers))
-        except ValueError:
-            print(f"error: --workers wants integers, got {args.workers!r}",
-                  file=sys.stderr)
-            return 2
-        if any(count < 1 for count in worker_counts):
-            print("error: worker counts must be >= 1", file=sys.stderr)
-            return 2
     exec_modes = None
     if args.exec_modes:
         names = _csv(args.exec_modes)
@@ -435,7 +420,7 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     if args.crash:
         return _cmd_check_crash(
             args, budget, backends, batch_sizes, resolutions, obs,
-            worker_counts, exec_modes,
+            exec_modes,
         )
     report = run_check(
         budget=budget,
@@ -448,7 +433,6 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
         obs=obs,
         resolutions=resolutions,
         compile_modes=compile_modes,
-        worker_counts=worker_counts,
         exec_modes=exec_modes,
     )
     if args.metrics_out:
@@ -470,8 +454,7 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_crash(
-    args, budget, backends, batch_sizes, resolutions, obs,
-    worker_counts=None, exec_modes=None,
+    args, budget, backends, batch_sizes, resolutions, obs, exec_modes=None,
 ) -> int:
     """``repro check --crash``: the crash-recovery equivalence campaign."""
     from repro.check import run_crash_check
@@ -482,8 +465,6 @@ def _cmd_check_crash(
         kwargs["backends"] = tuple(backends)
     if batch_sizes is not None:
         kwargs["batch_sizes"] = tuple(batch_sizes)
-    if worker_counts is not None:
-        kwargs["worker_counts"] = worker_counts
     if exec_modes is not None:
         modes = tuple(m for m in exec_modes if m in CRASH_EXEC_MODES)
         if modes:
@@ -826,17 +807,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default, falls back to the interpreted path per node on any "
         "lowering failure; both modes are bit-for-bit equivalent)",
     )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="match-phase worker pool size; 1 (default) is the serial "
-        "reference loop, N>1 fans alpha evaluation and join probes "
-        "across N workers with a deterministic merge — conflict sets, "
-        "fired sequences and final WM stay bit-identical to --workers 1 "
-        "(see docs/PARALLELISM.md)",
-    )
     run.add_argument("--quiet", action="store_true")
     run.add_argument(
         "--lineage",
@@ -986,12 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated match-compilation modes; the default matrix "
         "pairs every compiled-family cell with a compile='on' twin "
         "(default: off,on)",
-    )
-    check.add_argument(
-        "--workers",
-        metavar="N,M,...",
-        help="comma-separated worker counts; every cell with workers>1 "
-        "must stay bit-identical to its workers=1 twin (default: 1)",
     )
     check.add_argument(
         "--exec-modes",

@@ -193,13 +193,6 @@ class ProductionSystem:
     fan-out (the ``match.batch_group_max`` signal) grows or shrinks the
     next cycle's budget; the current value is published as the
     ``engine.auto_batch_size`` gauge when observability is on.
-
-    ``workers`` sizes the match-phase worker pool (``repro.parallel``).
-    The default 1 creates no pool at all — the serial reference loop —
-    while N > 1 fans alpha evaluation and per-(join, batch-group)
-    probes across N workers with results merged deterministically, so
-    conflict sets, fired sequences and final WM are bit-identical to
-    ``workers=1`` (see ``docs/PARALLELISM.md``).
     """
 
     def __init__(
@@ -218,7 +211,6 @@ class ProductionSystem:
         batch_size: int | str = 1,
         lineage: bool = False,
         compile: str = "auto",
-        workers: int = 1,
         analyses: dict[str, RuleAnalysis] | None = None,
     ) -> None:
         if firing not in ("instance", "set"):
@@ -228,10 +220,6 @@ class ProductionSystem:
         if compile not in ("off", "on", "auto"):
             raise ExecutionError(
                 f"unknown compile mode {compile!r}; use 'on', 'off' or 'auto'"
-            )
-        if not isinstance(workers, int) or workers < 1:
-            raise ExecutionError(
-                f"workers must be a positive integer, got {workers!r}"
             )
         self._auto_tuner: BatchSizeTuner | None = None
         if batch_size == "auto":
@@ -267,15 +255,6 @@ class ProductionSystem:
             path=path,
             obs=self.obs,
         )
-        #: Worker count for the parallel match phase (``repro.parallel``).
-        #: 1 (the default) keeps the serial reference loop: no pool is
-        #: created at all, so ``workers=1`` is literally the old code path.
-        self.workers = workers
-        self.pool = None
-        if workers > 1:
-            from repro.parallel import WorkerPool
-
-            self.pool = WorkerPool(workers, obs=self.obs)
         strategy_cls = (
             STRATEGIES[strategy] if isinstance(strategy, str) else strategy
         )
@@ -284,7 +263,6 @@ class ProductionSystem:
             self.analyses,
             counters=self.counters,
             compile_mode=self.compile_mode,
-            pool=self.pool,
         )
         self.resolver: Resolver = (
             make_resolver(resolution, seed)
@@ -599,13 +577,6 @@ class ProductionSystem:
         metrics.gauge("match.stored_tokens").set(space.stored_tokens)
         metrics.gauge("match.marker_entries").set(space.marker_entries)
         metrics.gauge("match.aux_cells").set(space.estimated_cells)
-        if self.pool is not None:
-            stats = self.pool.stats
-            metrics.gauge("parallel.workers").set(stats.workers)
-            metrics.gauge("parallel.fanned_items").set(stats.items)
-            metrics.gauge("parallel.critical_path_items").set(
-                stats.critical_path_items
-            )
         return metrics.snapshot()
 
     def run(self, max_cycles: int = 10_000) -> RunResult:

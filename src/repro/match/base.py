@@ -94,7 +94,6 @@ class MatchStrategy:
         counters: Counters | None = None,
         obs: Observability | None = None,
         compile_mode: str = "off",
-        pool=None,
     ) -> None:
         self.wm = wm
         self.analyses = dict(analyses)
@@ -105,18 +104,8 @@ class MatchStrategy:
         #: compiled path consult this during :meth:`_prepare`, the rest
         #: ignore it.
         self.compile_mode = compile_mode
-        #: Optional :class:`repro.parallel.WorkerPool`.  ``None`` (the
-        #: default) keeps the strictly serial reference path; strategies
-        #: with a parallel match phase consult it during
-        #: :meth:`_prepare`, the rest ignore it.
-        self.pool = pool
         self.conflict_set = ConflictSet()
         self._prepare()
-        # A live pool may still be finishing a fan-out issued by a
-        # previously attached strategy; wait for it so replay sees a
-        # quiescent network.
-        if pool is not None:
-            pool.drain()
         wm.add_listener(self)
         replay = DeltaBatch.of_inserts(
             wme for class_name in wm.schemas for wme in wm.tuples(class_name)
@@ -276,12 +265,8 @@ class MatchStrategy:
 
         Idempotent: detaching an already-detached strategy is a no-op.
         The conflict set is cleared without firing its listeners, so a
-        detached strategy never reports stale instantiations.  With a
-        live worker pool, outstanding fan-outs are drained *first* so no
-        worker is probing a memory while the topology changes.
+        detached strategy never reports stale instantiations.
         """
-        if self.pool is not None:
-            self.pool.drain()
         try:
             self.wm.remove_listener(self)
         except ValueError:

@@ -174,14 +174,15 @@ class JoinKernel:
     comparison per test per opposing-memory row.
     """
 
-    __slots__ = ("plan", "label", "bmem", "amem", "_res", "_own", "_left_key",
-                 "_lefts", "_rights")
+    __slots__ = ("plan", "label", "bmem", "amem", "counters", "_res", "_own",
+                 "_left_key", "_lefts", "_rights")
 
-    def __init__(self, plan: JoinPlan, bmem, amem) -> None:
+    def __init__(self, plan: JoinPlan, bmem, amem, counters) -> None:
         self.plan = plan
         self.label = plan.kind
         self.bmem = bmem
         self.amem = amem
+        self.counters = counters
         level = plan.level
         # residual spec: (left slot column, other position, own position, op)
         self._res = tuple(
@@ -196,9 +197,10 @@ class JoinKernel:
         self._lefts = bmem.index_on(self._left_key) if keyed else None
         self._rights = amem.index_on(self._own) if keyed else None
 
-    def residual_ok(self, row: int, values: tuple, counters) -> bool:
+    def residual_ok(self, row: int, values: tuple) -> bool:
         """Do the residual tests hold between LEFT *row* and RIGHT *values*?"""
         slots = self.bmem.slot_column
+        counters = self.counters
         for slot, other_pos, own_pos, op in self._res:
             counters.comparisons += 1
             other = slots(slot)[row]
@@ -208,11 +210,11 @@ class JoinKernel:
                 return False
         return True
 
-    def lefts_for(self, wme, counters) -> list:
+    def lefts_for(self, wme) -> list:
         """LEFT tokens joining *wme*, in LEFT-memory insertion order."""
         values = wme.values
         if self._lefts is not None:
-            counters.index_lookups += 1
+            self.counters.index_lookups += 1
             rows = self._lefts.get(tuple([values[own] for own in self._own]))
             if not rows:
                 return []
@@ -224,10 +226,10 @@ class JoinKernel:
         return [
             token_at(row)
             for row in rows
-            if self.residual_ok(row, values, counters)
+            if self.residual_ok(row, values)
         ]
 
-    def rights_for(self, token, counters) -> list:
+    def rights_for(self, token) -> list:
         """RIGHT elements joining *token*, in RIGHT-memory insertion order."""
         row = self.bmem.row_of(token)
         if self._rights is not None:
@@ -235,7 +237,7 @@ class JoinKernel:
             key = self.bmem.key_at(row, self._left_key)
             if key is None:
                 return []
-            counters.index_lookups += 1
+            self.counters.index_lookups += 1
             rows = self._rights.get(key)
             if not rows:
                 return []
@@ -245,9 +247,7 @@ class JoinKernel:
             wmes = self.amem.wmes()
         if not self._res:
             return wmes
-        return [
-            wme for wme in wmes if self.residual_ok(row, wme.values, counters)
-        ]
+        return [wme for wme in wmes if self.residual_ok(row, wme.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,9 @@ def attach_network_kernels(network, mode: str = "auto") -> dict:
     for node in (*network.join_nodes, *network.negative_nodes):
         try:
             plan = plan_join(node.tests, node.bmem.level)
-            node.attach_kernel(JoinKernel(plan, node.bmem, node.amem))
+            node.attach_kernel(
+                JoinKernel(plan, node.bmem, node.amem, node.counters)
+            )
             summary["kernels"] += 1
         except Exception as error:
             if mode == "on":

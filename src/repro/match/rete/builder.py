@@ -34,8 +34,6 @@ from repro.match.rete.runtime import (
     ProductionNode,
     ReteRuntime,
 )
-from repro.parallel.pool import merge_counters
-from repro.parallel.shard import hash_shards
 from repro.storage.catalog import Catalog
 from repro.storage.predicate import (
     AttributeComparison,
@@ -107,12 +105,6 @@ class ReteNetwork:
         opposing memory, so every cross pair of the batch's own deltas is
         produced exactly once (the semi-naive two-sided delta-join
         argument; see ``docs/ALGORITHMS.md`` §8).
-
-        Under a worker pool (``runtime.pool``) the insert phase's alpha
-        masks are precomputed in parallel (:meth:`_parallel_alpha_masks`)
-        and the admission/propagation loop then consumes them in the
-        same serial order — bit-identical state evolution, see
-        ``docs/ALGORITHMS.md`` §11.
         """
         batch = batch.net()
         if not batch:
@@ -137,21 +129,10 @@ class ReteNetwork:
             groups: dict[str, list[StoredTuple]] = {}
             for delta in batch.inserts:
                 groups.setdefault(delta.relation, []).append(delta.wme)
-            pool = runtime.pool
-            masks = (
-                self._parallel_alpha_masks(groups, pool)
-                if pool is not None and pool.active and groups
-                else None
-            )
             for class_name, wmes in groups.items():
                 self.counters.tokens += len(wmes)
                 for amem in self.alpha_by_class.get(class_name, ()):
-                    if masks is not None:
-                        admitted = amem.admit_set(
-                            wmes, masks[(class_name, id(amem))]
-                        )
-                    else:
-                        admitted = amem.insert_set(wmes)
+                    admitted = amem.insert_set(wmes)
                     for wme in admitted:
                         runtime.register_alpha(wme, amem)
                     if admitted:
@@ -163,57 +144,6 @@ class ReteNetwork:
                             successor.right_activate_set(admitted, class_name)
         finally:
             self._flush_mirrors()
-
-    def _parallel_alpha_masks(
-        self, groups: dict[str, list[StoredTuple]], pool
-    ) -> dict[tuple[str, int], list[bool]] | None:
-        """Precompute every alpha admit mask for a batch's insert phase.
-
-        Alpha constant tests are pure functions of element values, so all
-        (class, memory) masks can be evaluated before any admission
-        mutates the network.  Each class's element set is hash-sharded by
-        tuple id and every (memory, shard) cell becomes one fan-out task;
-        per-shard mask fragments scatter back through the recorded
-        positions, so the assembled masks — and the serial admission that
-        consumes them (:meth:`AlphaMemory.admit_set`) — are independent
-        of shard count and scheduling.  Returns ``None`` when the batch
-        is too small to be worth fanning out.
-        """
-        cells: list[tuple[tuple[str, int], int, list[int]]] = []
-        thunks: list = []
-        for class_name, wmes in groups.items():
-            amems = self.alpha_by_class.get(class_name, ())
-            if not amems:
-                continue
-            shards = hash_shards(wmes, pool.shard_count(len(wmes)))
-            for amem in amems:
-                for positions, elements in shards:
-
-                    def thunk(amem=amem, elements=elements):
-                        task_counters = Counters()
-                        return (
-                            amem.evaluate(elements, task_counters),
-                            task_counters,
-                        )
-
-                    cells.append(((class_name, id(amem)), len(wmes), positions))
-                    thunks.append(thunk)
-        if sum(len(positions) for _, _, positions in cells) < pool.min_fanout_items:
-            return None
-        results = pool.map_tasks(
-            thunks,
-            sizes=[len(positions) for _, _, positions in cells],
-            label="alpha",
-        )
-        masks: dict[tuple[str, int], list[bool]] = {}
-        for (key, length, positions), (fragment, task_counters) in zip(
-            cells, results
-        ):
-            merge_counters(self.counters, task_counters)
-            mask = masks.setdefault(key, [False] * length)
-            for position, admitted in zip(positions, fragment):
-                mask[position] = admitted
-        return masks
 
     def _flush_mirrors(self) -> None:
         if not self.mirrors:

@@ -339,41 +339,6 @@ class AlphaMemory:
             admitted.append(wme)
         return admitted
 
-    def evaluate(self, wmes: list[StoredTuple], counters: Counters) -> list[bool]:
-        """Pure half of :meth:`insert_set`: the constant-test mask.
-
-        Reads nothing but the compiled test and the elements' values, so
-        worker threads can evaluate disjoint shards concurrently; the
-        caller admits serially with :meth:`admit_set`.  Comparison counts
-        go to *counters* (a per-task bag on the parallel path).
-        """
-        test = self.test
-        counters.comparisons += len(wmes)
-        return [test(wme.values) for wme in wmes]
-
-    def admit_set(
-        self, wmes: list[StoredTuple], mask: list[bool]
-    ) -> list[StoredTuple]:
-        """Mutating half of :meth:`insert_set`: admit per a computed mask.
-
-        Consumes *wmes* in their original order, so the memory's
-        insertion order — and everything downstream — is independent of
-        how the mask was sharded.  Counter totals match the serial
-        :meth:`insert_set` exactly (one activation per set, one token
-        per admitted element; comparisons were counted by ``evaluate``).
-        """
-        self.counters.node_activations += 1
-        admitted: list[StoredTuple] = []
-        for wme, ok in zip(wmes, mask):
-            if not ok:
-                continue
-            self._admit(wme)
-            if self.mirror is not None:
-                self.mirror.add(wme, (wme.tid,))
-            self.counters.tokens += 1
-            admitted.append(wme)
-        return admitted
-
     def retract(self, wme: StoredTuple) -> bool:
         """Remove *wme* if present; returns whether it was stored."""
         row = self._index.pop(wme_key(wme), None)
@@ -606,7 +571,7 @@ def _run_join_tests(
 
 def _probe_span(
     runtime: "ReteRuntime",
-    node_name: str,
+    node: "_TwoInputNode",
     input_side: str,
     probed: str,
     group: str,
@@ -615,8 +580,9 @@ def _probe_span(
     """Open the ``rete.batch_join`` span for one opposing-memory probe.
 
     Counts the probe (``rete.join_probes``) and the incoming token-set size
-    (``rete.tokenset_size``); returns :data:`NULL_SPAN` when unobserved so
-    the disabled path stays a single predicate check.
+    (``rete.tokenset_size``), and tags the span with the plan kind when a
+    compiled kernel runs the probe; returns :data:`NULL_SPAN` when
+    unobserved so the disabled path stays a single predicate check.
     """
     obs = runtime.obs
     if obs is None or not obs.enabled:
@@ -624,15 +590,18 @@ def _probe_span(
     metrics = obs.metrics
     metrics.counter("rete.join_probes").inc()
     metrics.histogram("rete.tokenset_size", SIZE_BUCKETS).observe(size)
-    return obs.span(
+    span = obs.span(
         "rete.batch_join",
-        node=node_name,
+        node=node.name,
         input=input_side,
         probed=probed,
         seq=runtime.batch_seq,
         group=group,
         size=size,
     )
+    if node.kernel is not None:
+        span.set("kernel", node.kernel.label)
+    return span
 
 
 def _record_pairs(runtime: "ReteRuntime", count: int) -> None:
@@ -640,19 +609,6 @@ def _record_pairs(runtime: "ReteRuntime", count: int) -> None:
     obs = runtime.obs
     if obs is not None and obs.enabled:
         obs.metrics.histogram("rete.join_pairs", SIZE_BUCKETS).observe(count)
-
-
-def _fanout_pool(runtime: "ReteRuntime | None", size: int):
-    """The worker pool to fan a *size*-item probe out on, or ``None``.
-
-    Serial stays the default: no pool, an inactive (one-worker) pool, or
-    a token set below the pool's fan-out threshold all return ``None``
-    and the caller runs the classic single-threaded probe.
-    """
-    pool = runtime.pool if runtime is not None else None
-    if pool is not None and pool.active and size >= pool.min_fanout_items:
-        return pool
-    return None
 
 
 class _TwoInputNode:
@@ -702,18 +658,18 @@ class _TwoInputNode:
         self.lefts_for = kernel.lefts_for
         self.rights_for = kernel.rights_for
 
-    def lefts_for(self, wme: StoredTuple, counters: Counters) -> list[Token]:
+    def lefts_for(self, wme: StoredTuple) -> list[Token]:
         """LEFT tokens joining *wme*, in LEFT-memory insertion order."""
-        tests = self.tests
+        tests, counters = self.tests, self.counters
         return [
             token
             for token in self.bmem.tokens()
             if _run_join_tests(tests, token, wme, counters)
         ]
 
-    def rights_for(self, token: Token, counters: Counters) -> list[StoredTuple]:
+    def rights_for(self, token: Token) -> list[StoredTuple]:
         """RIGHT elements joining *token*, in RIGHT-memory insertion order."""
-        tests = self.tests
+        tests, counters = self.tests, self.counters
         return [
             wme
             for wme in self.amem.wmes()
@@ -726,41 +682,20 @@ class _TwoInputNode:
         if group_size > self.max_group:
             self.max_group = group_size
 
-    def _partner_lists(self, runtime, items: list, primitive, span) -> list:
-        """``primitive(item)`` per item of a token set, in item order.
-
-        The probed memory and its indexes are read-only for the duration,
-        so a large set fans out over the worker pool in contiguous chunks
-        (per-task counters, merged in chunk order).
-        """
-        if self.kernel is not None:
-            span.set("kernel", self.kernel.label)
-        pool = _fanout_pool(runtime, len(items))
-        if pool is None:
-            counters = self.counters
-            return [primitive(item, counters) for item in items]
-        span.set("workers", pool.workers)
-        return pool.map_chunks(
-            items,
-            lambda chunk, counters: [primitive(item, counters) for item in chunk],
-            counters=self.counters,
-            label=self.name,
-        )
-
 
 class JoinNode(_TwoInputNode):
     """Two-input node joining a beta memory (LEFT) and alpha memory (RIGHT)."""
 
     def left_activate_new_token(self, runtime: "ReteRuntime", token: Token) -> None:
         self._activated()
-        for wme in self.rights_for(token, self.counters):
+        for wme in self.rights_for(token):
             for child in self.children:
                 child.left_activate(runtime, token, wme)
 
     def right_activate(self, wme: StoredTuple) -> None:
         self._activated()
         runtime = self.runtime
-        for token in self.lefts_for(wme, self.counters):
+        for token in self.lefts_for(wme):
             for child in self.children:
                 child.left_activate(runtime, token, wme)
 
@@ -770,9 +705,9 @@ class JoinNode(_TwoInputNode):
         """A LEFT token set arrives: probe the RIGHT memory once for all."""
         self._activated(len(tokens))
         with _probe_span(
-            runtime, self.name, "left", "RIGHT", group, len(tokens)
+            runtime, self, "left", "RIGHT", group, len(tokens)
         ) as span:
-            partners = self._partner_lists(runtime, tokens, self.rights_for, span)
+            partners = [self.rights_for(token) for token in tokens]
             pairs = [
                 (token, wme)
                 for token, wmes in zip(tokens, partners)
@@ -786,9 +721,9 @@ class JoinNode(_TwoInputNode):
         self._activated(len(wmes))
         runtime = self.runtime
         with _probe_span(
-            runtime, self.name, "right", "LEFT", group, len(wmes)
+            runtime, self, "right", "LEFT", group, len(wmes)
         ) as span:
-            partners = self._partner_lists(runtime, wmes, self.lefts_for, span)
+            partners = [self.lefts_for(wme) for wme in wmes]
             pairs = [
                 (token, wme)
                 for wme, tokens in zip(wmes, partners)
@@ -839,7 +774,7 @@ class NegativeNode(_TwoInputNode):
         """
         key = wme_key(wme)
         blocked: list[Token] = []
-        for token in self.lefts_for(wme, self.counters):
+        for token in self.lefts_for(wme):
             # The dummy top token is stored in ``top`` but never
             # left-activates a node, so it has no witness set.
             matches = self.results.get(token)
@@ -853,7 +788,7 @@ class NegativeNode(_TwoInputNode):
 
     def left_activate_new_token(self, runtime: "ReteRuntime", token: Token) -> None:
         self._activated()
-        witnesses = self.rights_for(token, self.counters)
+        witnesses = self.rights_for(token)
         if self._set_witnesses(runtime, token, witnesses):
             for child in self.children:
                 child.left_activate(runtime, token, None)
@@ -870,9 +805,9 @@ class NegativeNode(_TwoInputNode):
         """A LEFT token set: one RIGHT probe computes every witness set."""
         self._activated(len(tokens))
         with _probe_span(
-            runtime, self.name, "left", "RIGHT", group, len(tokens)
+            runtime, self, "left", "RIGHT", group, len(tokens)
         ) as span:
-            partners = self._partner_lists(runtime, tokens, self.rights_for, span)
+            partners = [self.rights_for(token) for token in tokens]
             unblocked: list[tuple[Token, StoredTuple | None]] = [
                 (token, None)
                 for token, witnesses in zip(tokens, partners)
@@ -888,19 +823,14 @@ class NegativeNode(_TwoInputNode):
         """A RIGHT token set: one LEFT probe updates every witness set.
 
         Tokens whose witness set became non-empty have their downstream
-        propagation retracted after the probe.  This path stays serial
-        even under a worker pool: it mutates the per-token witness sets
-        while probing, so there is no pure read phase to fan out (a known
-        serial fallback — see ``docs/PARALLELISM.md``).
+        propagation retracted after the probe.
         """
         self._activated(len(wmes))
         runtime = self.runtime
         newly_blocked: list[Token] = []
         with _probe_span(
-            runtime, self.name, "right", "LEFT", group, len(wmes)
+            runtime, self, "right", "LEFT", group, len(wmes)
         ) as span:
-            if self.kernel is not None:
-                span.set("kernel", self.kernel.label)
             for wme in wmes:
                 newly_blocked.extend(self._add_witness(runtime, wme))
             span.set("pairs", len(newly_blocked))
@@ -1052,10 +982,6 @@ class ReteRuntime:
         self.pending_unblocks: (
             dict[NegativeNode, list[tuple[WmeKey, Token]]] | None
         ) = None
-        #: Worker pool for sharded batch propagation
-        #: (:class:`repro.parallel.WorkerPool`), set by the owning
-        #: strategy; ``None`` keeps every batch path strictly serial.
-        self.pool = None
 
     def register_token(self, wme: StoredTuple, token: Token) -> None:
         head = self.wme_tokens.setdefault(wme_key(wme), token)

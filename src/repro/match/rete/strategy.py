@@ -53,7 +53,6 @@ class ReteStrategy(MatchStrategy):
         )
         self.conflict_set = self.network.conflict_set
         self.network.runtime.obs = self.obs
-        self.network.runtime.pool = self.pool
         summary = self.network.compile_summary
         obs = self.obs
         if obs is not None and obs.enabled and summary is not None:
@@ -154,9 +153,6 @@ class DbmsReteStrategy(ReteStrategy):
         counters: Counters | None = None,
         memory_backend: str = "memory",
         compile_mode: str = "off",
-        pool=None,
     ) -> None:
         self._mirror_backend = memory_backend
-        super().__init__(
-            wm, analyses, counters, compile_mode=compile_mode, pool=pool
-        )
+        super().__init__(wm, analyses, counters, compile_mode=compile_mode)

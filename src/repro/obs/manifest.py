@@ -86,7 +86,6 @@ class RunManifest:
     firing: str = ""
     batch_size: int = 1
     compile: str = "auto"
-    workers: int = 1
     seed: int = 0
     command: list[str] = field(default_factory=list)
     git_sha: str | None = None
@@ -116,7 +115,6 @@ class RunManifest:
                 "firing": self.firing,
                 "batch_size": self.batch_size,
                 "compile": self.compile,
-                "workers": self.workers,
                 "seed": self.seed,
             },
             "command": self.command,

@@ -24,8 +24,7 @@ system the same affordances:
 * :class:`TopAggregator` / :func:`render_top` — fold a trace stream
   (live or replayed) into a refreshing console dashboard: cycles/sec,
   p50/p95/p99 cycle latency, hottest join nodes, conflict-set size and
-  WAL lag — the numbers the serve/parallel-match roadmap items will
-  watch under load.
+  WAL lag — the numbers to watch under load.
 
 Surfaced on the command line as ``repro explain`` (``--instantiation``,
 ``--why-not``, ``--network``, ``--dot``) and ``repro top``.

@@ -85,7 +85,8 @@ def _build_system(meta: dict, obs: Observability | None) -> ProductionSystem:
     The program's top-level ``(make ...)`` elements are stripped: they
     were inserted before the log attached and live in the log's first
     batch record, so letting the constructor insert them again would
-    double them (with the wrong tids).
+    double them (with the wrong tids).  Meta keys not read here —
+    including ones older builds recorded — are ignored.
     """
     program = parse_program(meta["program"])
     return ProductionSystem(
@@ -101,9 +102,6 @@ def _build_system(meta: dict, obs: Observability | None) -> ProductionSystem:
         firing=meta.get("firing", "instance"),
         batch_size=meta["batch_size"],
         compile=meta.get("compile", "auto"),
-        # Logs from before the parallel-match PR carry no workers key;
-        # they recover onto the serial reference loop.
-        workers=meta.get("workers", 1),
         obs=obs or Observability(),
     )
 

@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
 }
 
 #: Keys an attach request's ``config`` may override.
-CONFIG_KEYS = tuple(DEFAULT_CONFIG) + ("workers", "compile")
+CONFIG_KEYS = tuple(DEFAULT_CONFIG) + ("compile",)
 
 #: Rotate tenant logs at this segment size unless configured otherwise.
 DEFAULT_ROTATE_BYTES = 256 * 1024

@@ -30,12 +30,7 @@ from repro.engine.interpreter import ProductionSystem
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.txn.locks import LockManager
 from repro.txn.serializability import History
-from repro.txn.transactions import (
-    COMMITTED,
-    SKIPPED,
-    RuleTransaction,
-    plan_locks,
-)
+from repro.txn.transactions import COMMITTED, SKIPPED, RuleTransaction
 
 
 @dataclass
@@ -120,7 +115,6 @@ class ConcurrentScheduler:
         retries: int = 3,
         policy: str = "detect",
         batched_act: bool = True,
-        pool=None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(
@@ -132,12 +126,6 @@ class ConcurrentScheduler:
         #: §5 batched act mode: each transaction's maintenance is one
         #: delta batch per commit point (see RuleTransaction.batched_act).
         self.batched_act = batched_act
-        #: Worker pool for the round's pure phases (lock planning; the
-        #: match maintenance inside each commit step also fans out when
-        #: the owning system runs with ``workers > 1``).  Defaults to the
-        #: system's own pool.  Act execution itself stays a single-writer
-        #: loop — WM mutation is serial by design (docs/PARALLELISM.md).
-        self.pool = pool if pool is not None else getattr(system, "pool", None)
         self.history = History()
         self._next_txn_id = 0
 
@@ -157,32 +145,8 @@ class ConcurrentScheduler:
     def _build_transactions(self) -> list[RuleTransaction]:
         eligible = sorted(self.system.eligible(), key=lambda i: i.key)
         analyses = self.system.analyses
-        pool = self.pool
-        if (
-            pool is not None
-            and pool.active
-            and len(eligible) >= pool.min_fanout_items
-        ):
-            # Lock planning is a pure function of (analysis,
-            # instantiation): fan it out and merge the plans back in the
-            # sorted-instantiation order, so txn ids, lock order and
-            # everything downstream match the serial build exactly.
-            plans = pool.map_tasks(
-                [
-                    (lambda inst=inst: plan_locks(
-                        analyses[inst.rule_name], inst
-                    ))
-                    for inst in eligible
-                ],
-                label="plan_locks",
-            )
-        else:
-            plans = [
-                plan_locks(analyses[inst.rule_name], inst)
-                for inst in eligible
-            ]
         transactions = []
-        for instantiation, requests in zip(eligible, plans):
+        for instantiation in eligible:
             self._next_txn_id += 1
             transactions.append(
                 RuleTransaction.build(
@@ -191,7 +155,6 @@ class ConcurrentScheduler:
                     analyses[instantiation.rule_name],
                     retries=self.retries,
                     batched_act=self.batched_act,
-                    requests=requests,
                 )
             )
         return transactions

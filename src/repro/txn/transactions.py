@@ -112,24 +112,13 @@ class RuleTransaction:
         analysis: RuleAnalysis,
         retries: int = 3,
         batched_act: bool = True,
-        requests: list[LockRequest] | None = None,
     ) -> "RuleTransaction":
-        """Construct with planned locks.
-
-        *requests* accepts a precomputed :func:`plan_locks` result — the
-        planning is a pure function of (analysis, instantiation), so the
-        concurrent scheduler fans it out across its worker pool and
-        passes the merged plans in.
-        """
+        """Construct with planned locks."""
         return cls(
             txn_id=txn_id,
             instantiation=instantiation,
             analysis=analysis,
-            requests=(
-                plan_locks(analysis, instantiation)
-                if requests is None
-                else requests
-            ),
+            requests=plan_locks(analysis, instantiation),
             retries_left=retries,
             batched_act=batched_act,
         )

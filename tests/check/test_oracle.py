@@ -10,7 +10,7 @@ from repro.check import (
     replay_config,
     run_trace,
 )
-from repro.check.oracle import COMPILED_FAMILY, RETE_FAMILY
+from repro.check.oracle import COMPILED_FAMILY
 from repro.check.trace import Trace, TraceOp
 from repro.match import STRATEGIES, SimplifiedStrategy
 
@@ -89,45 +89,23 @@ class TestMatrix:
             run_trace(generate_trace(0, 0), configs=[])
 
 
-class TestParallelAndExecAxes:
-    def test_labels_encode_workers_and_exec(self):
+class TestExecAxis:
+    def test_labels_encode_exec(self):
         assert CheckConfig("rete").label == "rete/memory/batch=1"
-        assert CheckConfig("rete", workers=4).label.endswith("/w4")
         assert CheckConfig("rete", exec="txn").label.endswith("/txn")
-        assert CheckConfig("rete", workers=2, exec="set").label.endswith(
-            "/w2/set"
+        assert CheckConfig("rete", compile="on", exec="set").label.endswith(
+            "/compiled/set"
         )
 
-    def test_worker_cells_only_for_rete_family(self):
-        configs = default_matrix(
-            worker_counts=(1, 2), backends=("memory",),
-            batch_sizes=(1,), compile_modes=("off",),
-        )
-        parallel = {c.strategy for c in configs if c.workers > 1}
-        assert parallel == set(RETE_FAMILY)
-        # The serial cell precedes its parallel twin so it anchors as
-        # the reference.
-        for index, config in enumerate(configs):
-            if config.workers > 1:
-                serial = CheckConfig(
-                    strategy=config.strategy,
-                    backend=config.backend,
-                    batch_size=config.batch_size,
-                    compile=config.compile,
-                    exec=config.exec,
-                )
-                assert configs.index(serial) < index
-
-    def test_exec_and_worker_cells_agree(self):
-        """The headline determinism claim, end to end: every exec mode's
-        parallel cells replay bit-identically to that mode's serial
-        reference (different modes are compared only within their own
-        group)."""
+    def test_exec_cells_agree(self):
+        """Every exec mode's cells replay bit-identically to that mode's
+        serial reference (different modes are compared only within their
+        own group)."""
         trace = generate_trace(3, 1)
         configs = default_matrix(
             ["rete", "rete-shared"], backends=("memory",),
             batch_sizes=(8,), compile_modes=("off", "on"),
-            worker_counts=(1, 2), exec_modes=("cycle", "set", "txn"),
+            exec_modes=("cycle", "set", "txn"),
         )
         assert run_trace(trace, configs=configs) is None
 

@@ -11,8 +11,6 @@ performance property, not a semantic one.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.bench.drivers import drive_stream
 from repro.check.oracle import pattern_index_faults, rete_memory_snapshot
@@ -20,7 +18,6 @@ from repro.engine import WorkingMemory
 from repro.instrument import Counters
 from repro.lang import analyze_program, parse_program
 from repro.match import STRATEGIES
-from repro.parallel import WorkerPool
 
 from tests.match.test_equivalence import RULES, assert_all_agree
 
@@ -253,117 +250,6 @@ def test_tuple_path_compiled_equals_interpreted(seed, backend):
         assert snapshot["index_faults"] == [], label
         assert cand.counters.index_lookups > 0, label
         assert cand.counters.comparisons < ref.counters.comparisons, label
-
-
-WORKER_COUNTS = (1, 2, 4)
-
-
-def run_rete_family(events, workers, batch_size=16, compile_mode="off"):
-    """Drive one stream through the rete family with a shared worker pool;
-    returns ``{name: (conflict_keys, memory_snapshot)}``."""
-    program = parse_program(RULES)
-    analyses = analyze_program(program.rules, program.schemas)
-    wm = WorkingMemory(program.schemas)
-    pool = WorkerPool(workers) if workers > 1 else None
-    strategies = {
-        name: STRATEGIES[name](
-            wm, analyses, counters=Counters(),
-            compile_mode=compile_mode, pool=pool,
-        )
-        for name in RETE_FAMILY
-    }
-    drive_stream(wm, events, batch_size=batch_size)
-    snapshot = {
-        name: (s.conflict_set_keys(), _rete_memory_snapshot(s))
-        for name, s in strategies.items()
-    }
-    if pool is not None:
-        pool.close()
-    return snapshot
-
-
-@pytest.mark.parametrize("compile_mode", ["off", "on"])
-def test_rete_memory_contents_agree_across_worker_counts(compile_mode):
-    """The determinism contract (docs/PARALLELISM.md): a worker pool of
-    any size leaves the network bit-identical to the serial reference —
-    same conflict sets, same alpha/beta/negative memory contents, same
-    mirrors — whether the join kernels are interpreted or compiled."""
-    events = make_events(17, length=120)
-    snapshots = {
-        workers: run_rete_family(events, workers, compile_mode=compile_mode)
-        for workers in WORKER_COUNTS
-    }
-    reference = snapshots[1]
-    for workers in WORKER_COUNTS[1:]:
-        for name, (keys, memories) in snapshots[workers].items():
-            ref_keys, ref_memories = reference[name]
-            assert keys == ref_keys, (
-                f"{name}: conflict set diverged at workers={workers}"
-            )
-            assert memories == ref_memories, (
-                f"{name}: memory contents diverged at workers={workers}"
-            )
-
-
-@st.composite
-def op_streams(draw):
-    """Random insert/delete streams in bench-driver event format."""
-    names = ["Mike", "Sam", "Ann"]
-    length = draw(st.integers(5, 60))
-    events = []
-    live = 0
-    for _ in range(length):
-        kind = draw(st.integers(0, 4)) if live > 0 else draw(st.integers(1, 4))
-        if kind == 0:
-            events.append(("delete", draw(st.integers(0, 1 << 16))))
-            live -= 1
-            continue
-        if kind in (1, 2):
-            values = {
-                "name": names[draw(st.integers(0, 2))],
-                "salary": draw(st.integers(1, 4)) * 50,
-                "dno": draw(st.integers(1, 3)),
-                "manager": names[draw(st.integers(0, 2))],
-            }
-            events.append(("insert", ("Emp", values)))
-        elif kind == 3:
-            values = {
-                "dno": draw(st.integers(1, 3)),
-                "dname": draw(st.sampled_from(["Toy", "Shoe"])),
-                "floor": draw(st.integers(1, 2)),
-                "manager": names[draw(st.integers(0, 2))],
-            }
-            events.append(("insert", ("Dept", values)))
-        else:
-            events.append(("insert", ("Audit", {"dno": draw(st.integers(1, 3))})))
-        live += 1
-    return events
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    events=op_streams(),
-    batch_size=st.sampled_from([1, 8, 64]),
-    workers=st.sampled_from([2, 3, 4]),
-    compile_mode=st.sampled_from(["off", "on"]),
-)
-def test_parallel_match_parity_property(
-    events, batch_size, workers, compile_mode
-):
-    """Property form of the determinism contract: for arbitrary op
-    streams, batch sizes and pool sizes, parallel match is bit-identical
-    to the serial reference."""
-    serial = run_rete_family(
-        events, 1, batch_size=batch_size, compile_mode=compile_mode
-    )
-    parallel = run_rete_family(
-        events, workers, batch_size=batch_size, compile_mode=compile_mode
-    )
-    assert parallel == serial
 
 
 def test_annihilated_elements_never_reach_strategies():

@@ -6,7 +6,6 @@ from repro.engine import WorkingMemory
 from repro.instrument import Counters
 from repro.lang import analyze_program, parse_program
 from repro.match import STRATEGIES
-from repro.parallel import WorkerPool
 
 RULES = """
 (literalize Emp name salary dno)
@@ -73,54 +72,3 @@ class TestDetach:
                                           counters=Counters())
         assert fresh.conflict_set_keys() == expected
 
-
-@pytest.mark.parametrize("strategy_name", STRATEGY_NAMES)
-class TestDetachWithLivePool:
-    """Topology changes must drain the worker pool first: no worker may
-    still be probing a memory that detach is about to tear down, and a
-    freshly attached strategy must see a quiet pool (docs/PARALLELISM.md
-    lists this as the attach/detach barrier)."""
-
-    def test_detach_drains_and_leaves_pool_usable(self, strategy_name):
-        program = parse_program(RULES)
-        analyses = analyze_program(program.rules, program.schemas)
-        wm = WorkingMemory(program.schemas)
-        pool = WorkerPool(3)
-        strategy = STRATEGIES[strategy_name](
-            wm, analyses, counters=Counters(), pool=pool
-        )
-        # Enough elements that batched propagation actually fans out.
-        with wm.batch():
-            for i in range(24):
-                wm.insert("Emp", (f"E{i}", 150 + i, 1 + i % 3))
-        assert len(strategy.conflict_set) > 0
-        strategy.detach()
-        assert pool._pending == 0
-        assert pool.active
-        assert len(strategy.conflict_set) == 0
-        # The drained pool still serves fan-outs after the detach.
-        assert pool.map_tasks([lambda: 1, lambda: 2]) == [1, 2]
-        pool.close()
-
-    def test_reattach_with_pool_matches_serial_rebuild(self, strategy_name):
-        program = parse_program(RULES)
-        analyses = analyze_program(program.rules, program.schemas)
-        wm = WorkingMemory(program.schemas)
-        pool = WorkerPool(4)
-        strategy = STRATEGIES[strategy_name](
-            wm, analyses, counters=Counters(), pool=pool
-        )
-        with wm.batch():
-            for i in range(30):
-                wm.insert("Emp", (f"E{i}", 50 + i * 10, 1 + i % 3))
-                if i % 4 == 0:
-                    wm.insert("Audit", (1 + i % 3,))
-        strategy.detach()
-        fresh = STRATEGIES[strategy_name](
-            wm, analyses, counters=Counters(), pool=pool
-        )
-        serial = STRATEGIES[strategy_name](wm, analyses, counters=Counters())
-        assert fresh.conflict_set_keys() == serial.conflict_set_keys()
-        fresh.detach()
-        serial.detach()
-        pool.close()

@@ -246,6 +246,32 @@ class TestLifecycle:
         assert list(second.system.output) == expected["output"]
         assert second.fired == expected["fired"]
 
+    def test_meta_with_a_workers_count_still_recovers(self, tmp_path):
+        """Older builds recorded a match worker count in the meta record;
+        such a log recovers onto the one serial match path."""
+        wal = str(tmp_path / "run.wal")
+        crashpoints = Crashpoints()
+        crashpoints.arm("commit.pre", after=3)
+        system, cfg = build(workers=4)
+        run = DurableRun.start(
+            system, wal, PROGRAM, cfg, crashpoints=crashpoints
+        )
+        with pytest.raises(SimulatedCrash):
+            run.run()
+        run.abandon()
+
+        state = recover(wal)
+        assert state.meta["workers"] == 4
+        twin, _ = build()
+        twin.run(max_cycles=state.cycle)
+        assert wm_rows(state.system) == wm_rows(twin)
+        assert (
+            state.system.strategy.conflict_set_keys()
+            == twin.strategy.conflict_set_keys()
+        )
+        resume_run(state)
+        assert wm_rows(state.system) == reference()["wm"]
+
     def test_wal_attachment_changes_nothing(self, tmp_path):
         expected = reference()
         system, cfg = build()

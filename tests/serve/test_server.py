@@ -263,6 +263,26 @@ class TestAttachSemantics:
 
         run(scenario())
 
+    def test_unknown_config_keys_are_dropped(self, tmp_path):
+        """``workers`` (a key older clients sent) is ignored like any
+        other key the session does not know; the attach succeeds."""
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            call, writer = await connect(server)
+            reply = await call(op="attach", tenant="t1", program=PROGRAM,
+                               config={"workers": 2, "no_such_key": 1})
+            assert reply["ok"] is True
+            ack = await call(op="insert", tenant="t1", seq=1,
+                             relation="ev", values={"n": 1})
+            assert ack["ok"] is True and ack["durable"] is True
+            meta = server.registry.get("t1").run.writer.wal_meta
+            assert "workers" not in meta and "no_such_key" not in meta
+            writer.close()
+            await server.shutdown()
+
+        run(scenario())
+
     def test_two_tenants_share_one_pack(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path)

@@ -97,7 +97,7 @@ class TestReportsSmoke:
     def test_report_registry_complete(self):
         assert set(REPORTS) == {
             "f1", "e1", "e2", "e3", "e4", "e6", "e7", "e8", "e9", "a4",
-            "a5", "a6", "a7", "a8", "a9", "a10",
+            "a5", "a6", "a7", "a9", "a10",
         }
 
     def test_a5(self):
@@ -140,21 +140,6 @@ class TestReportsSmoke:
         # shape directory alike: a 4x inventory barely moves it.
         for small, large in ((rows[1], rows[2]), (rows[4], rows[5])):
             assert large["probes/event"] < 1.5 * small["probes/event"]
-
-    def test_a8(self):
-        from repro.bench.report import report_a8
-
-        _, rows = report_a8(
-            stream_length=60, worker_counts=(1, 2), strategies=("rete",)
-        )
-        assert len(rows) == 2
-        # report_a8 asserts bit-identical conflict-set keys internally;
-        # the published sizes must agree too, and only the parallel row
-        # may touch the pool.
-        assert len({r["conflict_size"] for r in rows}) == 1
-        serial, parallel = rows
-        assert serial["workers"] == 1 and serial["fanouts"] == 0
-        assert parallel["workers"] == 2 and parallel["fanouts"] > 0
 
     def test_e9(self):
         from repro.bench.report import report_e9

@@ -54,13 +54,13 @@ def test_checker_records_cross_links():
     checker = load_checker()
     problems, linked = [], set()
     doc = REPO / "docs" / "ARCHITECTURE.md"
-    checker.check_links(doc, "[p](PARALLELISM.md)", problems, linked)
-    assert not problems
-    assert (REPO / "docs" / "PARALLELISM.md").resolve() in linked
-    # Backtick file references count as reachability too.
-    checker.check_code_refs(doc, "`docs/RECOVERY.md`", "", problems, linked)
+    checker.check_links(doc, "[r](RECOVERY.md)", problems, linked)
     assert not problems
     assert (REPO / "docs" / "RECOVERY.md").resolve() in linked
+    # Backtick file references count as reachability too.
+    checker.check_code_refs(doc, "`docs/SERVING.md`", "", problems, linked)
+    assert not problems
+    assert (REPO / "docs" / "SERVING.md").resolve() in linked
 
 
 def test_checker_catches_unknown_flag_in_fenced_block():

@@ -3,23 +3,18 @@
 
 Runs the A5 (token-batched Rete propagation), A6 (WAL overhead and
 crash recovery), A7 (compiled match kernels vs the interpreted walk),
-A8 (parallel sharded match), A9 (multi-tenant serving over the
-k8s-auto-fix workload) and A10 (warm-standby replication and kill -9
-failover) experiments at a fraction of their
-report budgets and writes a ``BENCH_obs.json`` trajectory artifact:
-every row with its wall-clock figures (recorded for trend charts, never
-gated — CI runners are noisy) and a ``gate`` section of *deterministic
-operation counts* (node activations, comparisons, join probes, batches,
-fsyncs, replayed batches, fanned items, critical-path items, final
+A9 (multi-tenant serving over the k8s-auto-fix workload) and A10
+(warm-standby replication and kill -9 failover) experiments at a
+fraction of their report budgets and writes a ``BENCH_obs.json``
+trajectory artifact: every row with its wall-clock figures (recorded
+for trend charts, never gated — CI runners are noisy) and a ``gate``
+section of *deterministic operation counts* (node activations,
+comparisons, join probes, batches, fsyncs, replayed batches, final
 WM/conflict sizes).
 
-The A8 rows also carry an unconditional acceptance check, baseline or
-not: the deterministic ``speedup_bound`` (fanned items over the
-round-robin critical path) must show at least one worker-scaling win —
-a multi-worker row measurably above the serial bound of 1.  The A9 rows
-carry their own baseline-free acceptance: nothing shed at the nominal
-one-in-flight rate, every event consumed at quiescence, and every
-tenant's exactly-once ``applied_seq`` recovered intact after the
+The A9 rows carry a baseline-free acceptance check: nothing shed at the
+nominal one-in-flight rate, every event consumed at quiescence, and
+every tenant's exactly-once ``applied_seq`` recovered intact after the
 in-process ``kill -9`` stand-in.  The A10 rows gate the replication
 invariants the same way: zero steady-state lag under semi-sync acks,
 the full acked stream surviving promotion, and exactly one fencing
@@ -55,7 +50,6 @@ GATED_COLUMNS = {
            "conflict_size"),
     "a6": ("fsyncs", "replayed", "wm"),
     "a7": ("interp_cmp", "compiled_cmp", "conflict_size"),
-    "a8": ("fanouts", "fanned_items", "critical_path", "conflict_size"),
     "a9": ("applied_seq", "events_left", "remediations", "tickets", "wm",
            "shed"),
     "a10": ("lag_records", "applied_seq", "events_left", "remediations",
@@ -67,10 +61,6 @@ GATED_COLUMNS = {
 INVENTORIES = (150, 600)
 INDEXED_GROWTH_BOUND = 1.5
 
-#: The deterministic speedup bound a multi-worker A8 row must clear for
-#: the nightly to count a worker-scaling win.
-SCALING_WIN_BOUND = 1.5
-
 
 def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
     """Run the reduced experiments and assemble the trajectory payload."""
@@ -78,7 +68,6 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         report_a5,
         report_a6,
         report_a7,
-        report_a8,
         report_a9,
         report_a10,
     )
@@ -96,11 +85,6 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         strategies=("rete", "rete-shared", "patterns"),
         inventories=INVENTORIES,
     )
-    title_a8, rows_a8 = report_a8(
-        stream_length=stream_length,
-        worker_counts=(1, 2, 4),
-        strategies=("rete",),
-    )
     title_a9, rows_a9 = report_a9(events_per_tenant=serve_events, tenants=2)
     title_a10, rows_a10 = report_a10(events_per_tenant=serve_events,
                                      tenants=2)
@@ -108,13 +92,11 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "budget": {"a5_stream_length": stream_length, "a6_cycles": cycles,
                    "a7_stream_length": stream_length,
-                   "a8_stream_length": stream_length,
                    "a9_events_per_tenant": serve_events,
                    "a10_events_per_tenant": serve_events},
         "a5": {"title": title_a5, "rows": rows_a5},
         "a6": {"title": title_a6, "rows": rows_a6},
         "a7": {"title": title_a7, "rows": rows_a7},
-        "a8": {"title": title_a8, "rows": rows_a8},
         "a9": {"title": title_a9, "rows": rows_a9},
         "a10": {"title": title_a10, "rows": rows_a10},
         "gate": {},
@@ -135,10 +117,6 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         label = f"a7[{row['strategy']}/batch={row['batch']}{inventory}]"
         for column in GATED_COLUMNS["a7"]:
             gate[f"{label}.{column}"] = row[column]
-    for row in rows_a8:
-        label = f"a8[{row['strategy']}/w{row['workers']}]"
-        for column in GATED_COLUMNS["a8"]:
-            gate[f"{label}.{column}"] = row[column]
     for row in rows_a9:
         label = f"a9[{row['tenant']}]"
         for column in GATED_COLUMNS["a9"]:
@@ -148,25 +126,6 @@ def collect(stream_length: int, cycles: int, serve_events: int = 60) -> dict:
         for column in GATED_COLUMNS["a10"]:
             gate[f"{label}.{column}"] = row[column]
     return payload
-
-
-def scaling_failures(payload: dict, bound: float = SCALING_WIN_BOUND) -> list[str]:
-    """A8 acceptance: at least one multi-worker row clears *bound*.
-
-    The speedup bound is a deterministic function of the fanned work, so
-    this check needs no baseline and survives runner noise.
-    """
-    rows = payload.get("a8", {}).get("rows", [])
-    parallel = [row for row in rows if row["workers"] > 1]
-    if not parallel:
-        return ["a8: no multi-worker rows produced"]
-    best = max(row["speedup_bound"] for row in parallel)
-    if best < bound:
-        return [
-            f"a8: no worker-scaling win — best speedup_bound {best} "
-            f"across {len(parallel)} multi-worker rows is below {bound}"
-        ]
-    return []
 
 
 def indexing_failures(
@@ -326,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"trajectory written: {args.out} "
           f"({len(current['gate'])} gated counts)")
 
-    failures = (indexing_failures(current) + scaling_failures(current)
-                + serving_failures(current) + replication_failures(current))
+    failures = (indexing_failures(current) + serving_failures(current)
+                + replication_failures(current))
     if failures:
         print("bench smoke gate FAILED:", file=sys.stderr)
         for failure in failures:
