@@ -47,9 +47,8 @@ def test_counter_cycle(benchmark, strategy):
     benchmark(run)
 
 
-@pytest.mark.parametrize("firing", ["instance", "set"])
-def test_wide_batch_firing(benchmark, firing):
-    """§5.1: set-at-a-time Act vs OPS5's instance-at-a-time."""
+def test_wide_batch_firing(benchmark):
+    """One rule with 40 instantiations, fired one per cycle."""
     source = """
     (literalize Emp name paid)
     (literalize Payout name)
@@ -58,7 +57,7 @@ def test_wide_batch_firing(benchmark, firing):
     """
 
     def run():
-        system = ProductionSystem(source, firing=firing)
+        system = ProductionSystem(source)
         for i in range(40):
             system.insert("Emp", (f"e{i}", "no"))
         result = system.run()

@@ -685,7 +685,6 @@ def report_a6(
         "backend": "memory",
         "seed": 0,
         "batch_size": 1,
-        "firing": "instance",
     }
 
     def build(obs=None):

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from repro.engine import BatchSizeTuner, ProductionSystem
 from repro.errors import RecoveryError
 from repro.check.generator import generate_trace
+from repro.check.oracle import EXEC_MODES
 from repro.check.trace import Trace, TraceOp
 from repro.obs import Observability
 from repro.recovery import (
@@ -51,12 +52,6 @@ from repro.replica import FollowerState
 DEFAULT_CRASH_BACKENDS = ("memory", "sqlite")
 DEFAULT_CRASH_BATCH_SIZES = (1, 8, "auto")
 DEFAULT_CRASH_STRATEGY = "rete"
-#: Execution modes a crash cell can run the recognize-act loop in:
-#: ``"cycle"`` (serial OPS5 cycles), ``"set"`` (§5.1 set-firing cycles —
-#: every conflict-set instantiation fires per cycle, recorded in one
-#: boundary) or ``"txn"`` (§5.2 concurrent rounds, whose mid-round
-#: ``txn.*`` crash sites this profile faults).
-CRASH_EXEC_MODES = ("cycle", "set", "txn")
 #: Segment budget used for checkpointed cells, small enough that typical
 #: traces rotate (and compact) their logs mid-run.
 CRASH_ROTATE_BYTES = 1024
@@ -266,17 +261,16 @@ def _durable_rounds(run, trace: Trace, observables) -> None:
 def _run_cycles(system: ProductionSystem, trace: Trace, observables,
                 start_cycle: int = 1) -> None:
     for cycle in range(start_cycle, trace.max_cycles + 1):
-        records = system.step_records(cycle)
-        if not records:
+        record = system.step(cycle)
+        if record is None:
             break
-        observables.fired.extend(
-            (cycle, r.instantiation.rule_name, r.instantiation.key)
-            for r in records
+        observables.fired.append(
+            (cycle, record.instantiation.rule_name, record.instantiation.key)
         )
         observables.checkpoints[("cycle", cycle)] = frozenset(
             system.strategy.conflict_set_keys()
         )
-        if any(r.outcome.halted for r in records):
+        if record.outcome.halted:
             break
 
 
@@ -286,12 +280,6 @@ def _finalize(system: ProductionSystem, observables: _Observables) -> None:
     observables.final_conflict = frozenset(
         system.strategy.conflict_set_keys()
     )
-
-
-def _firing(exec_mode: str) -> str:
-    """§5.1 set-firing replaces the select step; the other modes keep
-    the instance resolver (txn fires whole snapshots on its own)."""
-    return "set" if exec_mode == "set" else "instance"
 
 
 def _plain_reference(
@@ -306,7 +294,6 @@ def _plain_reference(
         backend=backend,
         seed=trace.seed,
         batch_size=batch_size,
-        firing=_firing(exec_mode),
     )
     observables = _Observables()
     driver = _OpDriver(system, batch_size)
@@ -325,17 +312,13 @@ def _plain_reference(
     return observables
 
 
-def _durable_config(
-    trace: Trace, backend: str, batch_size, strategy: str,
-    exec_mode: str = "cycle",
-):
+def _durable_config(trace: Trace, backend: str, batch_size, strategy: str):
     return {
         "strategy": strategy,
         "resolution": trace.resolution,
         "backend": backend,
         "seed": trace.seed,
         "batch_size": batch_size,
-        "firing": _firing(exec_mode),
     }
 
 
@@ -370,13 +353,12 @@ def _durable_replay(
         backend=backend,
         seed=trace.seed,
         batch_size=batch_size,
-        firing=_firing(exec_mode),
     )
     run = DurableRun.start(
         system,
         wal_path,
         trace.program,
-        _durable_config(trace, backend, batch_size, strategy, exec_mode),
+        _durable_config(trace, backend, batch_size, strategy),
         crashpoints=crashpoints,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -572,9 +554,7 @@ def run_crash_trace(
 
     ``exec_mode="txn"`` runs the recognize-act loop as §5.2 concurrent
     rounds instead of serial cycles, reaching the mid-round ``txn.*``
-    crash sites; ``"set"`` runs §5.1 set-firing cycles, so
-    whole-conflict-set boundary records are crashed and replayed too.
-    Checkpointed cells also rotate their logs every
+    crash sites.  Checkpointed cells also rotate their logs every
     :data:`CRASH_ROTATE_BYTES`, so segment rotation, compaction and the
     torn-rotation window (``wal.rotate``) are crashed and recovered too.
 
@@ -589,10 +569,10 @@ def run_crash_trace(
     happened: ``{"crashed": site_or_None, "recovered": bool,
     "restarted": bool, "promoted": bool, "hits": {site: count}}``.
     """
-    if exec_mode not in CRASH_EXEC_MODES:
+    if exec_mode not in EXEC_MODES:
         raise ValueError(
             f"unknown crash exec mode {exec_mode!r}; "
-            f"choose from {CRASH_EXEC_MODES}"
+            f"choose from {EXEC_MODES}"
         )
     trace = _strip_control_ops(trace)
     rng = rng or random.Random(trace.seed)
@@ -787,10 +767,9 @@ def run_crash_check(
     traces, so both the checkpoint fast path and pure log replay are
     exercised — and those cells also rotate/compact their log segments;
     *exec_modes* including ``"txn"`` kills §5.2 scheduler rounds at the
-    mid-round ``txn.*`` sites, and ``"set"`` crashes §5.1 set-firing
-    cycles).  *replicate* rotates warm-standby cells in on half the
-    traces: the crash is survived by promoting the shipped follower
-    instead of recovering the primary's log.
+    mid-round ``txn.*`` sites).  *replicate* rotates warm-standby cells
+    in on half the traces: the crash is survived by promoting the
+    shipped follower instead of recovering the primary's log.
     """
     from repro.check.corpus import save_repro
 

@@ -52,8 +52,8 @@ DEFAULT_COMPILE_MODES = ("off", "on")
 DEFAULT_EXEC_MODES = ("cycle",)
 
 #: Execution modes for the run-cycles phase: the serial recognize-act
-#: reference, §5.1 set-firing, and the §5.2 concurrent 2PL scheduler.
-EXEC_MODES = ("cycle", "set", "txn")
+#: reference and the §5.2 concurrent 2PL scheduler.
+EXEC_MODES = ("cycle", "txn")
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class CheckConfig:
     observable, including rete memory snapshots.
 
     ``exec`` selects the run-cycles phase: ``"cycle"`` (the serial
-    recognize-act loop), ``"set"`` (§5.1 set-firing) or ``"txn"`` (the
+    recognize-act loop, one instantiation per cycle) or ``"txn"`` (the
     §5.2 concurrent 2PL scheduler with WAL-style group commit rounds).
-    Different exec modes legitimately fire differently, so the oracle
-    compares each mode's cells against that mode's own serial reference.
+    The two record firings in different units (cycles vs rounds), so the
+    oracle compares each mode's cells against that mode's own reference.
     """
 
     strategy: str
@@ -339,10 +339,6 @@ class _Replayer:
             resolution=trace.resolution,
             backend=config.backend,
             seed=trace.seed,
-            # §5.1 set-firing replaces the per-cycle select step; the
-            # txn mode drives its own scheduler below, firing whole
-            # conflict-set snapshots, so it keeps the instance resolver.
-            firing="set" if config.exec == "set" else "instance",
             batch_size=config.batch_size,
             lineage=config.lineage,
             compile=config.compile,
@@ -461,16 +457,15 @@ class _Replayer:
             self._run_txn_rounds()
         else:
             for cycle in range(1, self.trace.max_cycles + 1):
-                records = system.step_records(cycle)
-                if not records:
+                record = system.step(cycle)
+                if record is None:
                     break
-                for record in records:
-                    self.result.fired.append(
-                        (cycle, record.instantiation.rule_name,
-                         record.instantiation.key)
-                    )
+                self.result.fired.append(
+                    (cycle, record.instantiation.rule_name,
+                     record.instantiation.key)
+                )
                 self._checkpoint(("cycle", cycle))
-                if any(record.outcome.halted for record in records):
+                if record.outcome.halted:
                     break
         self.result.final_wm = _wm_contents(system)
 
@@ -593,9 +588,9 @@ def run_trace(
     """Replay *trace* across the matrix; return the first divergence.
 
     Within each exec mode, the first configuration of the matrix is that
-    mode's reference — different exec modes legitimately fire different
-    sequences (§5.1 fires whole sets, §5.2 commits in 2PL order), so
-    comparing ``cycle`` against ``txn`` would report a false divergence.
+    mode's reference — ``cycle`` records one firing per cycle while §5.2
+    records whole rounds in 2PL commit order, so comparing ``cycle``
+    against ``txn`` would report a false divergence.
     An exception inside any replay is itself a finding (kind
     ``"error"``), since every trace is valid by construction.
     """

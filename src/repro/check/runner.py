@@ -108,8 +108,8 @@ def run_check(
     (each trace records the one it used, so repros stay self-contained).
     *compile_modes* restricts the match-compilation axis (the default
     matrix pairs every compiled-family cell with a compile="on" twin).
-    *exec_modes* adds §5.1 set-firing and §5.2 concurrent-scheduler
-    cells, each compared against its own mode's serial reference.
+    *exec_modes* adds §5.2 concurrent-scheduler cells, compared against
+    their own mode's reference.
     """
     obs = obs or Observability()
     matrix_kwargs = {}

@@ -165,7 +165,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "batch_size": args.batch_size,
                 "compile": args.compile,
-                "firing": "instance",
             },
             fsync_every=args.fsync_every,
             checkpoint_path=_checkpoint_path(args),
@@ -203,7 +202,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             resolution=args.resolution,
             backend=args.backend,
-            firing="instance",
             batch_size=args.batch_size,
             compile=args.compile,
             seed=args.seed,
@@ -337,6 +335,25 @@ def _csv(text: str) -> list[str]:
     return [item for item in (part.strip() for part in text.split(",")) if item]
 
 
+class _UsageError(Exception):
+    """A flag value the command cannot honour; :func:`main` exits 2."""
+
+
+def _csv_choice(flag: str, text: str | None, allowed) -> tuple[str, ...] | None:
+    """The comma-separated values of *flag*, each one of *allowed*; None
+    when the flag is absent.  Unknown or missing values are an error
+    naming the flag, so a fuzz matrix never changes shape silently."""
+    if text is None:
+        return None
+    names = tuple(_csv(text))
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise _UsageError(f"{flag}: unknown {', '.join(unknown)}")
+    if not names:
+        raise _UsageError(f"{flag}: no values given")
+    return names
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     if args.budget is not None or args.file is None or args.crash:
         return _cmd_check_fuzz(args)
@@ -370,48 +387,29 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     rule base is pinned and only op scripts are fuzzed.
     """
     from repro.check import run_check
+    from repro.check.crash import DEFAULT_CRASH_STRATEGY
+    from repro.check.oracle import EXEC_MODES
 
     budget = args.budget if args.budget is not None else 50
-    strategies = None
-    if args.strategies:
-        names = _csv(args.strategies)
-        unknown = sorted(set(names) - set(STRATEGIES))
-        if unknown:
-            print(f"error: unknown strategies: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        strategies = names
+    strategies = _csv_choice("--strategies", args.strategies, STRATEGIES)
     backends = _csv(args.backends) if args.backends else None
     batch_sizes = None
     if args.batch_sizes:
         batch_sizes = [_batch_size(text) for text in _csv(args.batch_sizes)]
-    resolutions = None
-    if args.resolutions:
-        names = _csv(args.resolutions)
-        unknown = sorted(set(names) - set(RESOLUTIONS))
-        if unknown:
-            print(f"error: unknown resolutions: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        resolutions = tuple(names)
-    compile_modes = None
-    if args.compile_modes:
-        names = _csv(args.compile_modes)
-        unknown = sorted(set(names) - {"off", "on", "auto"})
-        if unknown:
-            print(f"error: unknown compile modes: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        compile_modes = tuple(names)
-    exec_modes = None
-    if args.exec_modes:
-        names = _csv(args.exec_modes)
-        unknown = sorted(set(names) - {"cycle", "set", "txn"})
-        if unknown:
-            print(f"error: unknown exec modes: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
-        exec_modes = tuple(names)
+    resolutions = _csv_choice("--resolutions", args.resolutions, RESOLUTIONS)
+    compile_modes = _csv_choice(
+        "--compile-modes", args.compile_modes, ("off", "on", "auto")
+    )
+    exec_modes = _csv_choice("--exec-modes", args.exec_modes, EXEC_MODES)
+    if args.crash:
+        if strategies is not None:
+            raise _UsageError(
+                f"--strategies: --crash runs only {DEFAULT_CRASH_STRATEGY}"
+            )
+        if compile_modes is not None:
+            raise _UsageError("--compile-modes: --crash runs only auto")
+    elif args.replica:
+        raise _UsageError("--replica: only applies with --crash")
     obs = Observability()
     if args.trace_out:
         obs.add_sink(JsonlFileSink(args.trace_out))
@@ -458,7 +456,6 @@ def _cmd_check_crash(
 ) -> int:
     """``repro check --crash``: the crash-recovery equivalence campaign."""
     from repro.check import run_crash_check
-    from repro.check.crash import CRASH_EXEC_MODES
 
     kwargs = {}
     if backends is not None:
@@ -466,9 +463,7 @@ def _cmd_check_crash(
     if batch_sizes is not None:
         kwargs["batch_sizes"] = tuple(batch_sizes)
     if exec_modes is not None:
-        modes = tuple(m for m in exec_modes if m in CRASH_EXEC_MODES)
-        if modes:
-            kwargs["exec_modes"] = modes
+        kwargs["exec_modes"] = exec_modes
     if getattr(args, "replica", False):
         kwargs["replicate"] = True
     report = run_crash_check(
@@ -530,7 +525,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "backend": "memory",
                 "seed": 0,
                 "batch_size": 1,
-                "firing": "instance",
             },
         )
     try:
@@ -961,17 +955,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--exec-modes",
         metavar="A,B,...",
         help="comma-separated execution modes rotated across cells: "
-        "'cycle' (the serial recognize-act reference), 'set' (§5.1 "
-        "set-firing) and 'txn' (the §5.2 concurrent 2PL scheduler); "
-        "each mode group is compared against its own serial reference "
-        "(default: cycle)",
+        "'cycle' (the serial recognize-act reference) and 'txn' (the "
+        "§5.2 concurrent 2PL scheduler); each mode group is compared "
+        "against its own reference (default: cycle)",
     )
     check.add_argument(
         "--crash",
         action="store_true",
         help="run the crash-recovery equivalence campaign instead: each "
         "trace runs under a WAL, is killed at a random armed crash site, "
-        "recovered, finished, and compared to its uninterrupted reference",
+        "recovered, finished, and compared to its uninterrupted reference "
+        "(always strategy rete at compile auto: --strategies and "
+        "--compile-modes are refused)",
     )
     check.add_argument(
         "--replica",
@@ -1205,7 +1200,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, _UsageError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except ReproError as error:

@@ -20,7 +20,7 @@ from repro.engine.actions import ActionExecutor, ActionOutcome, HostFunction
 from repro.engine.conflict import ConflictSet, Instantiation, InstantiationKey
 from repro.engine.resolution import Resolver, make_resolver
 from repro.engine.wm import WorkingMemory
-from repro.errors import ExecutionError, StorageError
+from repro.errors import ExecutionError
 from repro.instrument import Counters
 from repro.lang.analysis import RuleAnalysis, analyze_program
 from repro.lang.ast import Program, Rule
@@ -165,28 +165,21 @@ class RunResult:
 class ProductionSystem:
     """An OPS5-style production system over a relational working memory.
 
-    ``firing`` selects the Act granularity:
-
-    * ``"instance"`` (OPS5, default) — one instantiation per cycle;
-    * ``"set"`` — §5.1's DBMS style: "Traditionally, DBMS support
-      set-at-a-time processing ... A selected production will execute
-      simultaneously against all combinations of these sets of tuples."
-      Each cycle selects a rule (via the resolver) and fires *every*
-      eligible instantiation of it, skipping those invalidated by earlier
-      firings of the same batch.
+    Every cycle fires exactly one instantiation, the one the resolver
+    selects (OPS5's Act granularity).  Firing many instantiations at once
+    is the §5 transaction scheduler's job
+    (:class:`~repro.txn.scheduler.ConcurrentScheduler`), whose 2PL
+    schedules are serializable and so equal to this serial loop.
 
     ``batch_size`` selects the Act→Match granularity (§4.2.3's
     set-orientation).  With the default 1, every ``make``/``remove``/
     ``modify`` propagates to the match network immediately — the classic
     tuple-at-a-time behaviour, bit-for-bit.  With N > 1 the act phase
-    buffers WM change notifications and delivers them to the strategies
-    as :class:`~repro.delta.DeltaBatch` objects of up to N deltas
-    (flushing at cycle end regardless), so maintenance runs
-    set-at-a-time.  Instantiations invalidated by not-yet-propagated
-    deletions are suppressed by a storage liveness check; a firing blocked
-    by a not-yet-propagated negated-condition witness is only suppressed
-    once the batch flushes, the one (documented) semantic difference of
-    batched act.
+    buffers the firing's WM change notifications and delivers them to the
+    strategies as one :class:`~repro.delta.DeltaBatch` at cycle end, so
+    maintenance runs set-at-a-time.  Since the next Select only happens
+    after that flush, the batch size changes when maintenance runs, never
+    what fires.
 
     ``batch_size="auto"`` delegates the budget to a
     :class:`BatchSizeTuner`: every delivered batch's per-relation group
@@ -205,7 +198,6 @@ class ProductionSystem:
         backend: str = "memory",
         seed: int = 0,
         counters: Counters | None = None,
-        firing: str = "instance",
         path: str | None = None,
         obs: Observability | None = None,
         batch_size: int | str = 1,
@@ -213,10 +205,6 @@ class ProductionSystem:
         compile: str = "auto",
         analyses: dict[str, RuleAnalysis] | None = None,
     ) -> None:
-        if firing not in ("instance", "set"):
-            raise ExecutionError(
-                f"unknown firing mode {firing!r}; use 'instance' or 'set'"
-            )
         if compile not in ("off", "on", "auto"):
             raise ExecutionError(
                 f"unknown compile mode {compile!r}; use 'on', 'off' or 'auto'"
@@ -229,7 +217,6 @@ class ProductionSystem:
                 f"batch_size must be a positive integer or 'auto', "
                 f"got {batch_size!r}"
             )
-        self.firing = firing
         self.batch_size = batch_size
         #: Match-compilation mode (:mod:`repro.match.compile`).  ``"auto"``
         #: compiles kernels where possible and falls back per node;
@@ -422,29 +409,13 @@ class ProductionSystem:
         if auto_batch_size is not None and self._auto_tuner is not None:
             self._auto_tuner.size = auto_batch_size
 
-    def _observe_flush(self, batch: DeltaBatch) -> int | None:
-        """Feed one flushed batch to the auto-tuner; returns the new size
-        (``None`` when the batch size is fixed)."""
+    def _observe_flush(self, batch: DeltaBatch) -> None:
+        """Feed one flushed batch to the auto-tuner, if there is one."""
         if self._auto_tuner is None:
-            return None
+            return
         size = self._auto_tuner.observe(batch)
         if self.obs.enabled:
             self.obs.metrics.gauge("engine.auto_batch_size").set(size)
-        return size
-
-    def _instantiation_live(self, instantiation: Instantiation) -> bool:
-        """True while every matched element still exists in storage.
-
-        The batched act path uses this instead of the (lagging) conflict
-        set to skip instantiations whose support was removed by an earlier
-        firing whose deltas have not been propagated yet.
-        """
-        for wme in instantiation.positive_wmes():
-            try:
-                self.wm.get(wme.relation, wme.tid)
-            except StorageError:
-                return False
-        return True
 
     def mark_fired(self, instantiation: Instantiation) -> None:
         """Record *instantiation* as fired (refraction), e.g. by an
@@ -452,17 +423,7 @@ class ProductionSystem:
         self._fired_keys.add(instantiation.key)
 
     def step(self, cycle: int = 0) -> FiredRule | None:
-        """One Select + Act step; returns None when nothing is eligible.
-
-        In ``"set"`` firing mode this fires the whole batch for the
-        selected rule and returns the *first* firing's record (all are
-        appended to run traces by :meth:`run`).
-        """
-        records = self.step_records(cycle)
-        return records[0] if records else None
-
-    def step_records(self, cycle: int = 0) -> list[FiredRule]:
-        """One Select + Act step, returning every firing it performed."""
+        """One Select + Act step; returns None when nothing is eligible."""
         obs = self.obs
         observing = obs.enabled
         started = time.perf_counter() if observing else 0.0
@@ -470,75 +431,43 @@ class ProductionSystem:
             candidates = self.eligible()
             if not candidates:
                 span.set("rule", "(none)")
-                return []
+                return None
             chosen = self.resolver(candidates)
             span.set("rule", chosen.rule_name)
             span.set("conflict_set", len(candidates))
-        if self.firing == "set":
-            batch = [
-                inst
-                for inst in candidates
-                if inst.rule_name == chosen.rule_name
-            ]
-        else:
-            batch = [chosen]
-        records: list[FiredRule] = []
         self._current_cycle = cycle
-        analysis = self.analyses[chosen.rule_name]
         tracing = obs.tracer.enabled
-        batch_size = self.effective_batch_size
-        batching = batch_size > 1
+        batching = self.effective_batch_size > 1
         with obs.span("act", cycle=cycle, rule=chosen.rule_name) as act_span:
             if tracing:
                 obs.tracer.set_context(rule=chosen.rule_name)
             if batching:
                 self.wm.begin_batch()
             try:
-                for instantiation in batch:
-                    self._fired_keys.add(instantiation.key)
-                    if instantiation is not chosen:
-                        # Invalidated by an earlier firing of this batch?
-                        # With deferred match maintenance the conflict set
-                        # lags, so also require the matched elements to
-                        # still exist in storage.
-                        if instantiation not in self.conflict_set:
-                            continue
-                        if batching and not self._instantiation_live(
-                            instantiation
-                        ):
-                            continue
-                    outcome = self.executor.execute(analysis, instantiation)
-                    self.output.extend(outcome.written)
-                    record = FiredRule(
-                        cycle=cycle, instantiation=instantiation, outcome=outcome
-                    )
-                    records.append(record)
-                    self._emit("fire", record)
-                    if self.lineage_recorder is not None:
-                        self.lineage_recorder.note_fired(
-                            instantiation.key, cycle
-                        )
-                    if outcome.halted:
-                        self._emit("halt", record)
-                        break
-                    if (
-                        batching
-                        and self.wm.pending_deltas() >= batch_size
-                    ):
-                        tuned = self._observe_flush(self.wm.flush_batch())
-                        if tuned is not None:
-                            batch_size = tuned
+                self._fired_keys.add(chosen.key)
+                outcome = self.executor.execute(
+                    self.analyses[chosen.rule_name], chosen
+                )
+                self.output.extend(outcome.written)
+                record = FiredRule(
+                    cycle=cycle, instantiation=chosen, outcome=outcome
+                )
+                self._emit("fire", record)
+                if self.lineage_recorder is not None:
+                    self.lineage_recorder.note_fired(chosen.key, cycle)
+                if outcome.halted:
+                    self._emit("halt", record)
             finally:
                 if batching:
                     self._observe_flush(self.wm.end_batch())
                 if tracing:
                     obs.tracer.clear_context("rule")
-            act_span.set("fires", len(records))
+            act_span.set("fires", 1)
         if observing:
             dur_us = (time.perf_counter() - started) * 1e6
             metrics = obs.metrics
             metrics.counter("engine.cycles").inc()
-            metrics.counter("engine.fires").inc(len(records))
+            metrics.counter("engine.fires").inc()
             metrics.histogram("engine.conflict_set_size", SIZE_BUCKETS).observe(
                 len(candidates)
             )
@@ -554,11 +483,11 @@ class ProductionSystem:
                     dur_us=dur_us,
                     rule=chosen.rule_name,
                     conflict_set=len(candidates),
-                    fires=len(records),
+                    fires=1,
                     wal_seq=getattr(wal, "last_seq", None),
                     wal_pending=getattr(wal, "pending_records", None),
                 )
-        return records
+        return record
 
     def snapshot_metrics(self) -> dict:
         """Fold final state into the metrics registry; return the snapshot.
@@ -583,13 +512,13 @@ class ProductionSystem:
         """Run the cycle until halt, exhaustion, or *max_cycles*."""
         fired: list[FiredRule] = []
         for cycle in range(1, max_cycles + 1):
-            records = self.step_records(cycle)
-            if not records:
+            record = self.step(cycle)
+            if record is None:
                 return RunResult(
                     cycles=cycle - 1, halted=False, exhausted=False, fired=fired
                 )
-            fired.extend(records)
-            if any(record.outcome.halted for record in records):
+            fired.append(record)
+            if record.outcome.halted:
                 return RunResult(
                     cycles=cycle, halted=True, exhausted=False, fired=fired
                 )

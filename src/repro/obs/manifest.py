@@ -83,7 +83,6 @@ class RunManifest:
     strategy: str = ""
     resolution: str = ""
     backend: str = ""
-    firing: str = ""
     batch_size: int = 1
     compile: str = "auto"
     seed: int = 0
@@ -112,7 +111,6 @@ class RunManifest:
                 "strategy": self.strategy,
                 "resolution": self.resolution,
                 "backend": self.backend,
-                "firing": self.firing,
                 "batch_size": self.batch_size,
                 "compile": self.compile,
                 "seed": self.seed,

@@ -99,7 +99,6 @@ def _build_system(meta: dict, obs: Observability | None) -> ProductionSystem:
         resolution=meta["resolution"],
         backend=meta["backend"],
         seed=meta["seed"],
-        firing=meta.get("firing", "instance"),
         batch_size=meta["batch_size"],
         compile=meta.get("compile", "auto"),
         obs=obs or Observability(),

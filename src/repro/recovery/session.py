@@ -101,7 +101,8 @@ class DurableRun:
 
         *config* is the run configuration recovery needs to rebuild an
         identical system: ``strategy``, ``resolution``, ``backend``,
-        ``seed``, ``batch_size`` and ``firing``.  The system's current WM
+        ``seed`` and ``batch_size`` (plus ``compile``, if set).  The
+        system's current WM
         (its initial elements were inserted before any log existed) is
         logged as the first batch record, so recovery replays it like any
         other committed batch.  *wal_rotate_bytes* > 0 turns on segment
@@ -275,8 +276,8 @@ class DurableRun:
             if self.halted:
                 break
             cycle = self.next_cycle
-            records = self.system.step_records(cycle)
-            if not records:
+            record = self.system.step(cycle)
+            if record is None:
                 return RunResult(
                     cycles=executed,
                     halted=False,
@@ -285,15 +286,15 @@ class DurableRun:
                 )
             executed += 1
             self.next_cycle += 1
-            fired_records.extend(records)
+            fired_records.append(record)
+            instantiation = record.instantiation
             delta = [
                 encode_fired(
-                    (cycle, r.instantiation.rule_name, r.instantiation.key)
+                    (cycle, instantiation.rule_name, instantiation.key)
                 )
-                for r in records
             ]
             self._fired.extend(delta)
-            self.halted = any(r.outcome.halted for r in records)
+            self.halted = record.outcome.halted
             self._commit_boundary("cycle", fired_delta=delta)
             self._cycles_since_checkpoint += 1
             self._maybe_checkpoint()

@@ -36,7 +36,6 @@ DEFAULT_CONFIG = {
     "backend": "memory",
     "seed": 0,
     "batch_size": 1,
-    "firing": "instance",
 }
 
 #: Keys an attach request's ``config`` may override.
@@ -113,6 +112,13 @@ class TenantSession:
         """
         cfg = dict(DEFAULT_CONFIG)
         for key, value in (config or {}).items():
+            # Unknown keys are dropped; "firing": "instance" (what older
+            # clients send) is one of them, any other firing is refused.
+            if key == "firing" and value != "instance":
+                raise ReproError(
+                    f"unsupported firing mode {value!r}: tenants fire one "
+                    "instantiation per cycle"
+                )
             if key in CONFIG_KEYS:
                 cfg[key] = value
         system = ProductionSystem(

@@ -110,6 +110,48 @@ class TestCycleAcrossStrategies:
         assert result.cycles == 7
 
 
+PAY = """
+(literalize Emp name paid)
+(literalize Payout name)
+(p pay-all
+    (Emp ^name <N> ^paid no)
+    -->
+    (modify 1 ^paid yes)
+    (make Payout ^name <N>))
+"""
+
+
+class TestOneFiringPerCycle:
+    def test_instance_mode_takes_one_cycle_each(self):
+        system = ProductionSystem(PAY)
+        for name in ("a", "b", "c"):
+            system.insert("Emp", (name, "no"))
+        result = system.run()
+        assert result.cycles == 3
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_firing_retracts_sibling_instantiations(self, batch_size):
+        # Both instantiations share CE1's element; firing either one
+        # modifies it away, so the other never fires, at any batch size.
+        source = """
+        (literalize K a1 a0)
+        (p r (K ^a1 1 ^a0 <j>) (K ^a0 <j>) --> (modify 1 ^a1 0))
+        """
+        system = ProductionSystem(source, batch_size=batch_size)
+        system.insert("K", (1, 5))
+        system.insert("K", (0, 5))
+        assert len(system.eligible()) == 2
+        result = system.run()
+        assert result.cycles == 1
+        assert sorted(t.values for t in system.wm.tuples("K")) == [
+            (0, 5), (0, 5),
+        ]
+
+    def test_firing_keyword_rejected(self):
+        with pytest.raises(TypeError, match="firing"):
+            ProductionSystem(PAY, firing="instance")
+
+
 class TestProductionSystemConstruction:
     def test_needs_source_or_rules(self):
         with pytest.raises(ExecutionError, match="needs"):

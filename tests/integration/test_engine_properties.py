@@ -7,7 +7,7 @@ from repro.engine import ProductionSystem
 from repro.workload import WorkloadSpec, generate_program
 
 
-def build_system(seed, rules, firing):
+def build_system(seed, rules):
     spec = WorkloadSpec(
         rules=rules,
         classes=3,
@@ -17,7 +17,7 @@ def build_system(seed, rules, firing):
         seed=seed,
     )
     workload = generate_program(spec)
-    return ProductionSystem(workload.program, firing=firing), spec
+    return ProductionSystem(workload.program), spec
 
 
 @settings(
@@ -29,12 +29,11 @@ def build_system(seed, rules, firing):
     seed=st.integers(0, 50),
     rules=st.integers(1, 8),
     inserts=st.integers(1, 25),
-    firing=st.sampled_from(["instance", "set"]),
 )
-def test_generated_programs_terminate_and_quiesce(seed, rules, inserts, firing):
+def test_generated_programs_terminate_and_quiesce(seed, rules, inserts):
     """Generated rules only remove their first matched element, so runs
     terminate; at quiescence nothing eligible remains and refraction holds."""
-    system, spec = build_system(seed, rules, firing)
+    system, spec = build_system(seed, rules)
     import random
 
     rng = random.Random(seed)
@@ -54,44 +53,3 @@ def test_generated_programs_terminate_and_quiesce(seed, rules, inserts, firing):
     # resurrects anything.
     wm_size = system.wm.size()
     assert inserts - len(result.fired) <= wm_size <= inserts
-
-
-@settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=st.integers(0, 30), inserts=st.integers(1, 15))
-def test_set_and_instance_firing_agree_on_single_condition_rules(seed, inserts):
-    """With single-condition rules (no cross-instantiation interference),
-    both Act granularities drain exactly the same elements."""
-
-    def run(firing):
-        spec = WorkloadSpec(
-            rules=4,
-            classes=3,
-            min_conditions=1,
-            max_conditions=1,
-            domain=4,
-            seed=seed,
-        )
-        workload = generate_program(spec)
-        system = ProductionSystem(workload.program, firing=firing)
-        import random
-
-        rng = random.Random(seed + 1)
-        for _ in range(inserts):
-            class_name = spec.class_name(rng.randrange(spec.classes))
-            values = tuple(
-                rng.randrange(spec.domain) for _ in range(spec.attributes)
-            )
-            system.insert(class_name, values)
-        result = system.run(max_cycles=500)
-        assert not result.exhausted
-        return sorted(
-            (name, tuple(t.values))
-            for name in system.wm.schemas
-            for t in system.wm.tuples(name)
-        )
-
-    assert run("instance") == run("set")

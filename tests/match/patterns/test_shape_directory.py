@@ -182,11 +182,11 @@ def _assert_probes_agree(strategy, wm):
 def fired_of(system):
     fired = []
     for cycle in range(1, 12):
-        records = system.step_records(cycle)
-        if not records:
+        record = system.step(cycle)
+        if record is None:
             break
-        fired.extend(
-            (r.instantiation.rule_name, r.instantiation.key) for r in records
+        fired.append(
+            (record.instantiation.rule_name, record.instantiation.key)
         )
     return fired
 

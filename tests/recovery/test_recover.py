@@ -45,7 +45,6 @@ def config(backend="memory", **overrides):
         "backend": backend,
         "seed": 0,
         "batch_size": 1,
-        "firing": "instance",
     }
     base.update(overrides)
     return base
@@ -246,13 +245,15 @@ class TestLifecycle:
         assert list(second.system.output) == expected["output"]
         assert second.fired == expected["fired"]
 
-    def test_meta_with_a_workers_count_still_recovers(self, tmp_path):
-        """Older builds recorded a match worker count in the meta record;
-        such a log recovers onto the one serial match path."""
+    @staticmethod
+    def crash_and_recover_with_meta(tmp_path, **meta):
+        """Crash a run whose meta record carries *meta*; check the
+        recovered system equals a twin that never saw those keys, and
+        that it resumes to the reference state."""
         wal = str(tmp_path / "run.wal")
         crashpoints = Crashpoints()
         crashpoints.arm("commit.pre", after=3)
-        system, cfg = build(workers=4)
+        system, cfg = build(**meta)
         run = DurableRun.start(
             system, wal, PROGRAM, cfg, crashpoints=crashpoints
         )
@@ -261,7 +262,8 @@ class TestLifecycle:
         run.abandon()
 
         state = recover(wal)
-        assert state.meta["workers"] == 4
+        for key, value in meta.items():
+            assert state.meta[key] == value
         twin, _ = build()
         twin.run(max_cycles=state.cycle)
         assert wm_rows(state.system) == wm_rows(twin)
@@ -271,6 +273,17 @@ class TestLifecycle:
         )
         resume_run(state)
         assert wm_rows(state.system) == reference()["wm"]
+
+    def test_meta_with_a_workers_count_still_recovers(self, tmp_path):
+        """Older builds recorded a match worker count in the meta record;
+        such a log recovers onto the one serial match path."""
+        self.crash_and_recover_with_meta(tmp_path, workers=4)
+
+    def test_meta_with_a_firing_mode_still_recovers(self, tmp_path):
+        """Older builds recorded ``"firing": "instance"`` in the meta
+        record; recovery ignores the key (one firing per cycle is the
+        only Act granularity)."""
+        self.crash_and_recover_with_meta(tmp_path, firing="instance")
 
     def test_wal_attachment_changes_nothing(self, tmp_path):
         expected = reference()

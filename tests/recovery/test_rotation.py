@@ -54,7 +54,6 @@ CONFIG = {
     "backend": "memory",
     "seed": 0,
     "batch_size": 1,
-    "firing": "instance",
 }
 
 

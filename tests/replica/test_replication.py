@@ -39,7 +39,7 @@ PROGRAM = """
 """
 
 CFG = {"strategy": "rete", "resolution": "lex", "backend": "memory",
-       "seed": 0, "batch_size": 1, "firing": "instance"}
+       "seed": 0, "batch_size": 1}
 
 
 def wm_rows(system):
@@ -55,9 +55,7 @@ def cs_keys(system):
 
 
 def start_primary(wal_path, tap=None):
-    system = ProductionSystem(
-        PROGRAM, **{k: v for k, v in CFG.items() if k != "firing"}
-    )
+    system = ProductionSystem(PROGRAM, **CFG)
     return DurableRun.start(
         system, str(wal_path), PROGRAM, CFG, fsync_every=1, wal_tap=tap
     )

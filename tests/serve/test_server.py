@@ -283,6 +283,46 @@ class TestAttachSemantics:
 
         run(scenario())
 
+    def test_instance_firing_key_is_accepted(self, tmp_path):
+        """``"firing": "instance"`` (what older clients sent) names the
+        only Act granularity; the attach succeeds and drops the key."""
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            call, writer = await connect(server)
+            reply = await call(op="attach", tenant="t1", program=PROGRAM,
+                               config={"firing": "instance"})
+            assert reply["ok"] is True
+            ack = await call(op="insert", tenant="t1", seq=1,
+                             relation="ev", values={"n": 1})
+            assert ack["ok"] is True and ack["durable"] is True
+            meta = server.registry.get("t1").run.writer.wal_meta
+            assert "firing" not in meta
+            writer.close()
+            await server.shutdown()
+
+        run(scenario())
+
+    def test_set_firing_is_refused(self, tmp_path):
+        """Any other firing mode gets a structured error instead of being
+        run one instantiation per cycle; no tenant or log is created."""
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            call, writer = await connect(server)
+            reply = await call(op="attach", tenant="t1", program=PROGRAM,
+                               config={"firing": "set"})
+            assert reply["ok"] is False
+            assert "firing" in reply["error"] and "'set'" in reply["error"]
+            assert server.registry.get("t1") is None
+            assert scan_tenants(str(tmp_path)) == []
+            reply = await call(op="attach", tenant="t1", program=PROGRAM)
+            assert reply["ok"] is True
+            writer.close()
+            await server.shutdown()
+
+        run(scenario())
+
     def test_two_tenants_share_one_pack(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path)

@@ -1,5 +1,7 @@
 """CLI tests (run/check/format/report)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -157,6 +159,36 @@ class TestCheck:
             "(literalize T x)(p r (T ^x <V>) --> (make T ^x <Z>))"
         )
         assert main(["check", str(bad)]) == 1
+
+    FAST = ["check", "--budget", "1", "--backends", "memory",
+            "--batch-sizes", "1"]
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--crash", "--strategies", "rete"], "--strategies"),
+        (["--crash", "--compile-modes", "off"], "--compile-modes"),
+        (["--crash", "--exec-modes", "txn,set"], "--exec-modes"),
+        (["--crash", "--exec-modes", ","], "--exec-modes"),
+        (["--exec-modes", "set"], "--exec-modes"),
+        (["--replica"], "--replica"),
+    ])
+    def test_matrix_flag_it_cannot_honour_exits_2(self, flags, named,
+                                                 capsys):
+        """A flag the campaign would drop, filter or replace with a
+        default is refused, naming the flag — a narrowed matrix never
+        passes silently."""
+        assert main([*self.FAST, *flags]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_crash_runs_the_requested_exec_mode(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main([*self.FAST, "--crash", "--exec-modes", "txn",
+                     "--trace-out", str(trace)]) == 0
+        assert "1/1 traces" in capsys.readouterr().out
+        spans = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [
+            span["attrs"]["exec"] for span in spans
+            if span.get("name") == "check.crash_trace"
+        ] == ["txn"]
 
 
 class TestFormat:
