@@ -684,7 +684,6 @@ def report_a6(
         "resolution": "lex",
         "backend": "memory",
         "seed": 0,
-        "batch_size": 1,
     }
 
     def build(obs=None):

@@ -7,12 +7,14 @@ same working memory.  This package turns that claim into an executable
 oracle:
 
 * :mod:`repro.check.trace` — a :class:`Trace` is a seeded program plus a
-  WM op script (insert/delete/modify/detach/attach), JSON-serializable.
+  WM op script (insert/delete/modify/detach/attach) and the chunk size its
+  ops are applied in, JSON-serializable.
 * :mod:`repro.check.generator` — seeded trace generation over rotating
   profiles (negation, disjunction, modify-heavy, churn, pool-sharing,
   mid-run reattach).
 * :mod:`repro.check.oracle` — replays one trace through every
-  (strategy × backend × batch-size) configuration and compares conflict
+  (strategy × backend × compile-mode) configuration, plus one per-op
+  reference cell, and compares conflict
   sets, fired-rule sequences, final WM contents and (within the Rete
   family) memory-node snapshots at shared sync points.
 * :mod:`repro.check.shrinker` — ddmin over ops plus greedy rule pruning,
@@ -37,7 +39,6 @@ from repro.check.crash import (
 from repro.check.generator import PROFILES, TraceProfile, generate_trace
 from repro.check.oracle import (
     DEFAULT_BACKENDS,
-    DEFAULT_BATCH_SIZES,
     RETE_FAMILY,
     CheckConfig,
     Divergence,
@@ -59,7 +60,6 @@ __all__ = [
     "CrashFinding",
     "CrashReport",
     "DEFAULT_BACKENDS",
-    "DEFAULT_BATCH_SIZES",
     "Divergence",
     "PROFILES",
     "RETE_FAMILY",

@@ -10,11 +10,15 @@ File format (one :class:`~repro.check.trace.Trace` per file)::
     {
       "name": "seed0-17-negation",
       "seed": 0,
-      "reason": "[conflict] simplified/memory/batch=8 vs ...",
+      "reason": "[conflict] simplified/memory vs ...",
+      "batch": 8,
       "program": "(literalize K0 a0 a1 a2)\\n(p rule0 ...)",
       "ops": [["insert", "K0", [1, 2, 0]], ["delete", 3], ["attach"]],
       "max_cycles": 30
     }
+
+``batch`` is the op chunk size every configuration replays; files that
+predate the field replay in chunks of 8.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.engine import BatchSizeTuner, ProductionSystem
+from repro.engine import ProductionSystem
 from repro.errors import RecoveryError
 from repro.check.generator import generate_trace
 from repro.check.oracle import EXEC_MODES
@@ -50,7 +50,6 @@ from repro.recovery import (
 from repro.replica import FollowerState
 
 DEFAULT_CRASH_BACKENDS = ("memory", "sqlite")
-DEFAULT_CRASH_BATCH_SIZES = (1, 8, "auto")
 DEFAULT_CRASH_STRATEGY = "rete"
 #: Segment budget used for checkpointed cells, small enough that typical
 #: traces rotate (and compact) their logs mid-run.
@@ -135,30 +134,22 @@ def _strip_control_ops(trace: Trace) -> Trace:
 
 
 class _OpDriver:
-    """Applies trace ops in act-granularity chunks, durable or not.
+    """Applies trace ops in chunks of *size*, durable or not.
 
-    Mirrors the oracle's chunking policy: budget 1 applies eagerly, a
-    fixed budget groups ops into WM batch scopes, and ``"auto"`` follows a
-    :class:`BatchSizeTuner` fed with every flushed batch.  The live-element
-    list and the tuner's size are exactly the state a crashed harness must
-    rebuild, so both ride in the boundary records' ``extra``.
+    Mirrors the oracle's chunking: size 1 applies each op as it happens,
+    a larger size groups ops into WM batch scopes.  The live-element list
+    is exactly the state a crashed harness must rebuild, so it rides in
+    the boundary records' ``extra``.
     """
 
-    def __init__(self, system: ProductionSystem, batch_size) -> None:
+    def __init__(self, system: ProductionSystem, size: int) -> None:
         self.system = system
-        self.batch_size = batch_size
-        self.tuner = BatchSizeTuner() if batch_size == "auto" else None
+        self.size = size
         self.live: list = []
-
-    def budget(self) -> int:
-        if self.tuner is not None:
-            return self.tuner.size
-        return self.batch_size
 
     def extra(self, position: int) -> dict:
         return {
             "live": [[wme.relation, wme.tid] for wme in self.live],
-            "ops_tuner": self.tuner.size if self.tuner is not None else None,
             "position": position,
         }
 
@@ -167,8 +158,6 @@ class _OpDriver:
         self.live = [
             wm.get(relation, tid) for relation, tid in extra.get("live", [])
         ]
-        if self.tuner is not None and extra.get("ops_tuner"):
-            self.tuner.size = extra["ops_tuner"]
 
     def _apply_op(self, op: TraceOp) -> None:
         wm = self.system.wm
@@ -196,7 +185,7 @@ class _OpDriver:
         chunk: list[TraceOp] = []
         for op in ops[start:]:
             chunk.append(op)
-            if len(chunk) >= self.budget():
+            if len(chunk) >= self.size:
                 position += len(chunk)
                 self._apply_chunk(chunk)
                 chunk = []
@@ -207,18 +196,12 @@ class _OpDriver:
             boundary(position, self)
 
     def _apply_chunk(self, chunk: list[TraceOp]) -> None:
-        wm = self.system.wm
-        if len(chunk) == 1 and self.tuner is None and self.budget() == 1:
+        if self.size == 1:
             self._apply_op(chunk[0])
             return
-        wm.begin_batch()
-        try:
+        with self.system.wm.batch():
             for op in chunk:
                 self._apply_op(op)
-        finally:
-            batch = wm.end_batch()
-            if self.tuner is not None:
-                self.tuner.observe(batch)
 
 
 def _run_txn_rounds(system: ProductionSystem, trace: Trace,
@@ -283,7 +266,7 @@ def _finalize(system: ProductionSystem, observables: _Observables) -> None:
 
 
 def _plain_reference(
-    trace: Trace, backend: str, batch_size, strategy: str,
+    trace: Trace, backend: str, size: int, strategy: str,
     exec_mode: str = "cycle",
 ) -> _Observables:
     """The uninterrupted, WAL-less replay every variant must match."""
@@ -293,10 +276,9 @@ def _plain_reference(
         resolution=trace.resolution,
         backend=backend,
         seed=trace.seed,
-        batch_size=batch_size,
     )
     observables = _Observables()
-    driver = _OpDriver(system, batch_size)
+    driver = _OpDriver(system, size)
 
     def boundary(position, _driver):
         observables.checkpoints[("ops", position)] = frozenset(
@@ -312,20 +294,19 @@ def _plain_reference(
     return observables
 
 
-def _durable_config(trace: Trace, backend: str, batch_size, strategy: str):
+def _durable_config(trace: Trace, backend: str, strategy: str):
     return {
         "strategy": strategy,
         "resolution": trace.resolution,
         "backend": backend,
         "seed": trace.seed,
-        "batch_size": batch_size,
     }
 
 
 def _durable_replay(
     trace: Trace,
     backend: str,
-    batch_size,
+    size: int,
     strategy: str,
     wal_path: str,
     crashpoints: Crashpoints | None = None,
@@ -352,13 +333,12 @@ def _durable_replay(
         resolution=trace.resolution,
         backend=backend,
         seed=trace.seed,
-        batch_size=batch_size,
     )
     run = DurableRun.start(
         system,
         wal_path,
         trace.program,
-        _durable_config(trace, backend, batch_size, strategy),
+        _durable_config(trace, backend, strategy),
         crashpoints=crashpoints,
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -368,7 +348,7 @@ def _durable_replay(
         wal_tap=wal_tap,
     )
     observables = _Observables()
-    driver = _OpDriver(system, batch_size)
+    driver = _OpDriver(system, size)
     try:
         driver.apply_ops(
             trace.ops,
@@ -409,7 +389,7 @@ def _durable_cycles(run: DurableRun, trace: Trace, observables) -> None:
 def _finish_recovered(
     state,
     trace: Trace,
-    batch_size,
+    size: int,
     checkpoint_path: str | None,
     checkpoint_every: int,
     exec_mode: str = "cycle",
@@ -440,7 +420,7 @@ def _finish_recovered(
         wal_rotate_bytes=wal_rotate_bytes,
     )
     try:
-        driver = _OpDriver(system, batch_size)
+        driver = _OpDriver(system, size)
         if state.phase in (None, "setup", "ops"):
             driver.restore(state.extra)
             driver.apply_ops(
@@ -538,7 +518,7 @@ def _follower_observables(state) -> _Observables:
 def run_crash_trace(
     trace: Trace,
     backend: str = "memory",
-    batch_size=1,
+    per_op: bool = True,
     strategy: str = DEFAULT_CRASH_STRATEGY,
     site: str | None = None,
     after: int = 1,
@@ -552,11 +532,14 @@ def run_crash_trace(
     """Crash one trace at *site* (or a random reachable site), recover,
     finish, and compare against the uninterrupted reference.
 
-    ``exec_mode="txn"`` runs the recognize-act loop as §5.2 concurrent
-    rounds instead of serial cycles, reaching the mid-round ``txn.*``
-    crash sites.  Checkpointed cells also rotate their logs every
-    :data:`CRASH_ROTATE_BYTES`, so segment rotation, compaction and the
-    torn-rotation window (``wal.rotate``) are crashed and recovered too.
+    ``per_op`` applies the trace's ops one at a time, with a boundary
+    after each; otherwise each ``trace.batch`` chunk is one delta batch
+    followed by one boundary.  ``exec_mode="txn"`` runs the
+    recognize-act loop as §5.2 concurrent rounds instead of serial
+    cycles, reaching the mid-round ``txn.*`` crash sites.  Checkpointed
+    cells also rotate their logs every :data:`CRASH_ROTATE_BYTES`, so
+    segment rotation, compaction and the torn-rotation window
+    (``wal.rotate``) are crashed and recovered too.
 
     ``replicate=True`` is the failover-equivalence cell: the armed run
     ships every fsynced record to an in-process
@@ -575,6 +558,8 @@ def run_crash_trace(
             f"choose from {EXEC_MODES}"
         )
     trace = _strip_control_ops(trace)
+    size = 1 if per_op else trace.batch
+    chunking = "per-op" if per_op else f"batch={trace.batch}"
     rng = rng or random.Random(trace.seed)
     stats = {"crashed": None, "recovered": False, "restarted": False,
              "promoted": False, "hits": {}}
@@ -588,9 +573,7 @@ def run_crash_trace(
         checkpoint_path = (
             os.path.join(directory, "crash.ckpt") if checkpoint_every else None
         )
-        reference = _plain_reference(
-            trace, backend, batch_size, strategy, exec_mode
-        )
+        reference = _plain_reference(trace, backend, size, strategy, exec_mode)
 
         # Uninterrupted durable dry run: pins WAL-attached == WAL-off and
         # measures which sites this configuration actually crosses.  It
@@ -598,7 +581,7 @@ def run_crash_trace(
         # ``checkpoint.mid`` crossings are counted too.
         probe = Crashpoints()
         dry = _durable_replay(
-            trace, backend, batch_size, strategy,
+            trace, backend, size, strategy,
             os.path.join(directory, "dry.wal"), crashpoints=probe,
             checkpoint_path=(
                 os.path.join(directory, "dry.ckpt") if checkpoint_every else None
@@ -612,7 +595,7 @@ def run_crash_trace(
         }
         mode_tag = f"/{exec_mode}" if exec_mode != "cycle" else ""
         finding = _compare(
-            trace, f"{backend}/batch={batch_size}{mode_tag}/wal-dry",
+            trace, f"{backend}/{chunking}{mode_tag}/wal-dry",
             reference, dry,
         )
         if finding is not None:
@@ -635,7 +618,7 @@ def run_crash_trace(
         crashpoints.arm(chosen, after=arm_after)
         replica_tag = "/replica" if replicate else ""
         label = (
-            f"{backend}/batch={batch_size}{mode_tag}{replica_tag}"
+            f"{backend}/{chunking}{mode_tag}{replica_tag}"
             f"/{chosen}@{arm_after}"
         )
         follower = None
@@ -649,7 +632,7 @@ def run_crash_trace(
             )
         try:
             finished = _durable_replay(
-                trace, backend, batch_size, strategy, wal_path,
+                trace, backend, size, strategy, wal_path,
                 crashpoints=crashpoints, checkpoint_path=checkpoint_path,
                 checkpoint_every=checkpoint_every,
                 exec_mode=exec_mode,
@@ -681,7 +664,7 @@ def run_crash_trace(
                 # nothing durable anywhere; restart from scratch.
                 stats["restarted"] = True
                 rerun = _durable_replay(
-                    trace, backend, batch_size, strategy,
+                    trace, backend, size, strategy,
                     os.path.join(directory, "restart.wal"),
                     exec_mode=exec_mode,
                 )
@@ -694,7 +677,7 @@ def run_crash_trace(
                 if checkpoint_every else None
             )
             finished, at_recovery, tag = _finish_recovered(
-                state, trace, batch_size, promoted_ckpt, checkpoint_every,
+                state, trace, size, promoted_ckpt, checkpoint_every,
                 exec_mode=exec_mode, wal_rotate_bytes=rotate_bytes,
             )
             if tag is not None and tag in reference.checkpoints:
@@ -716,7 +699,7 @@ def run_crash_trace(
             # Nothing durable — restart from scratch, as an operator would.
             stats["restarted"] = True
             rerun = _durable_replay(
-                trace, backend, batch_size, strategy,
+                trace, backend, size, strategy,
                 os.path.join(directory, "restart.wal"),
                 exec_mode=exec_mode,
             )
@@ -724,7 +707,7 @@ def run_crash_trace(
 
         stats["recovered"] = True
         finished, at_recovery, tag = _finish_recovered(
-            state, trace, batch_size, checkpoint_path, checkpoint_every,
+            state, trace, size, checkpoint_path, checkpoint_every,
             exec_mode=exec_mode, wal_rotate_bytes=rotate_bytes,
         )
         if tag is not None and tag in reference.checkpoints:
@@ -751,7 +734,6 @@ def run_crash_check(
     budget: int,
     seed: int = 0,
     backends=DEFAULT_CRASH_BACKENDS,
-    batch_sizes=DEFAULT_CRASH_BATCH_SIZES,
     strategy: str = DEFAULT_CRASH_STRATEGY,
     resolutions: tuple[str, ...] | None = None,
     program: str | None = None,
@@ -762,10 +744,12 @@ def run_crash_check(
     replicate: bool = False,
 ) -> CrashReport:
     """The ``repro check --crash`` campaign: *budget* traces, each crashed
-    at a random reachable site under a rotating backend × batch-size ×
-    exec-mode configuration (checkpoints cut every few cycles on half the
-    traces, so both the checkpoint fast path and pure log replay are
-    exercised — and those cells also rotate/compact their log segments;
+    at a random reachable site under a rotating backend × chunking ×
+    exec-mode configuration — chunking alternates between per-op
+    application and the trace's own ``batch`` (checkpoints cut every few
+    cycles on half the traces, so both the checkpoint fast path and pure
+    log replay are exercised — and those cells also rotate/compact their
+    log segments;
     *exec_modes* including ``"txn"`` kills §5.2 scheduler rounds at the
     mid-round ``txn.*`` sites).  *replicate* rotates warm-standby cells
     in on half the traces: the crash is survived by promoting the
@@ -781,12 +765,11 @@ def run_crash_check(
         {} if resolutions is None else {"resolutions": tuple(resolutions)}
     )
     backends = tuple(backends)
-    batch_sizes = tuple(batch_sizes)
     exec_modes = tuple(exec_modes) or ("cycle",)
     for index in range(budget):
         trace = generate_trace(seed, index, program=program, **generate_kwargs)
         backend = backends[index % len(backends)]
-        batch_size = batch_sizes[(index // len(backends)) % len(batch_sizes)]
+        per_op = (index // len(backends)) % 2 == 0
         exec_mode = exec_modes[index % len(exec_modes)]
         ckpt_every = checkpoint_every if index % 2 else 0
         replica_cell = replicate and index % 2 == 1
@@ -795,14 +778,14 @@ def run_crash_check(
             "check.crash_trace",
             trace=trace.name,
             backend=backend,
-            batch=str(batch_size),
+            batch="per-op" if per_op else str(trace.batch),
             exec=exec_mode,
             replica=replica_cell,
         ) as span:
             finding, stats = run_crash_trace(
                 trace,
                 backend=backend,
-                batch_size=batch_size,
+                per_op=per_op,
                 strategy=strategy,
                 rng=rng,
                 checkpoint_every=ckpt_every,

@@ -9,8 +9,8 @@ churn, shared-condition pools, and mid-run strategy attach/detach.
 Generation is a pure function of ``(seed, index)``: the program comes from
 :func:`repro.workload.generate_program` (whose RNG-stream invariant keeps
 profiles orthogonal) and the op script from a dedicated
-``random.Random(f"{seed}/{index}/ops")`` stream, so any failing trace is
-reproducible from its seed alone.
+``random.Random(f"{seed}/{index}/ops")`` stream (the op chunk size from
+``.../batch``), so any failing trace is reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ def generate_ops(
 #: Default conflict-resolution rotation; ``--resolutions`` widens it.
 DEFAULT_RESOLUTIONS = ("lex",)
 
+#: Op chunk sizes a generated trace draws its ``batch`` from.
+BATCH_CHOICES = (2, 4, 8, 64)
+
 
 def generate_trace(
     seed: int,
@@ -146,7 +149,9 @@ def generate_trace(
     ``literalize`` schemas rather than the profile's synthetic spec.
     *resolutions* rotates with the index (orthogonally to the profile
     rotation, which has co-prime length for the built-in lists), so a
-    budget of N traces sweeps profile × resolver combinations.
+    budget of N traces sweeps profile × resolver combinations.  The op
+    chunk size comes from its own RNG stream, so drawing it leaves the
+    program and the ops unchanged.
     """
     profile = PROFILES[index % len(PROFILES)]
     resolution = resolutions[index % len(resolutions)]
@@ -175,4 +180,5 @@ def generate_trace(
         ops=ops,
         max_cycles=30,
         resolution=resolution,
+        batch=random.Random(f"{seed}/{index}/batch").choice(BATCH_CHOICES),
     )

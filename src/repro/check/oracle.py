@@ -1,16 +1,17 @@
 """The cross-strategy differential oracle.
 
-Every registered match strategy computes the *same* match function; the
-engine's batched act path and both storage backends change only *how* it
-is computed.  The oracle replays one :class:`~repro.check.trace.Trace`
-through a configuration matrix — strategy × backend × act batch size —
-and asserts that every observable agrees:
+Every registered match strategy computes the *same* match function;
+set-at-a-time op application and both storage backends change only *how*
+it is computed.  The oracle replays one :class:`~repro.check.trace.Trace`
+through a configuration matrix — strategy × backend × compile mode ×
+exec mode — and asserts that every observable agrees.  Every cell applies
+the trace's ops in chunks of ``trace.batch``, each chunk one delta batch;
+one extra *per-op* reference cell applies them tuple-at-a-time, so a
+bug that depends on how ops are chunked still shows.  The observables:
 
-* conflict-set keys at every synchronization point (after every op for
-  tuple-at-a-time configs, after every control op and at end-of-ops for
-  all configs, and after every recognize-act cycle — act flushes its
-  delta batch at cycle end, so cycle boundaries are sync points in every
-  configuration);
+* conflict-set keys at every synchronization point: after every chunk
+  (every op, in the per-op cell), after every control op, at end-of-ops
+  and after every recognize-act cycle;
 * the fired-rule sequence, as (cycle, rule, instantiation-key) triples;
 * final working-memory contents, as (tid, timetag, values) rows;
 * for the Rete family, the contents of every alpha/beta memory, negative
@@ -31,7 +32,7 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass, field
 
-from repro.engine import BatchSizeTuner, ProductionSystem
+from repro.engine import ProductionSystem
 from repro.match import STRATEGIES
 from repro.match.patterns import MatchingPatternsStrategy
 from repro.check.trace import Trace, TraceOp
@@ -47,13 +48,17 @@ RETE_FAMILY = ("rete", "rete-shared", "rete-dbms")
 COMPILED_FAMILY = (*RETE_FAMILY, "patterns")
 
 DEFAULT_BACKENDS = ("memory", "sqlite")
-DEFAULT_BATCH_SIZES = (1, 8, "auto")
 DEFAULT_COMPILE_MODES = ("off", "on")
 DEFAULT_EXEC_MODES = ("cycle",)
 
 #: Execution modes for the run-cycles phase: the serial recognize-act
 #: reference and the §5.2 concurrent 2PL scheduler.
 EXEC_MODES = ("cycle", "txn")
+
+#: The per-op reference cell's strategy when it is selected: MQO-shared
+#: alpha memories are where a chunking-dependent multiplicity bug was
+#: once found.
+PER_OP_STRATEGY = "rete-shared"
 
 
 @dataclass(frozen=True)
@@ -75,23 +80,28 @@ class CheckConfig:
     §5.2 concurrent 2PL scheduler with WAL-style group commit rounds).
     The two record firings in different units (cycles vs rounds), so the
     oracle compares each mode's cells against that mode's own reference.
+
+    ``per_op`` applies the trace's ops one at a time, each propagated as
+    it happens, instead of in ``trace.batch`` chunks.
     """
 
     strategy: str
     backend: str = "memory"
-    batch_size: int | str = 1
     lineage: bool = False
     compile: str = "off"
     exec: str = "cycle"
+    per_op: bool = False
 
     @property
     def label(self) -> str:
-        suffix = "/lineage" if self.lineage else ""
+        suffix = "/per-op" if self.per_op else ""
+        if self.lineage:
+            suffix += "/lineage"
         if self.compile != "off":
             suffix += "/compiled"
         if self.exec != "cycle":
             suffix += f"/{self.exec}"
-        return f"{self.strategy}/{self.backend}/batch={self.batch_size}{suffix}"
+        return f"{self.strategy}/{self.backend}{suffix}"
 
 
 def resolve_strategies(strategies) -> dict:
@@ -111,32 +121,40 @@ def resolve_strategies(strategies) -> dict:
 def default_matrix(
     strategies=None,
     backends=DEFAULT_BACKENDS,
-    batch_sizes=DEFAULT_BATCH_SIZES,
     compile_modes=DEFAULT_COMPILE_MODES,
     exec_modes=DEFAULT_EXEC_MODES,
 ) -> list[CheckConfig]:
-    """The full strategy × backend × batch-size × compile-mode matrix.
+    """The per-op reference cell, then strategy × backend × compile mode
+    × exec mode.
 
     *strategies* may be a list of names or a mapping of name → strategy
     class (the mapping form lets tests inject broken shims).  Compiled
     cells are only generated for :data:`COMPILED_FAMILY` strategies, with
     the interpreted ``"off"`` cell always first so it anchors as the
     reference; exec modes keep ``"cycle"`` first for the same reason.
+    The per-op cell comes first of all, so it anchors its exec mode: it
+    runs :data:`PER_OP_STRATEGY` (else the first strategy) on the memory
+    backend (else the first backend), interpreted, in the first exec mode.
     """
     names = sorted(resolve_strategies(strategies))
     ordered_modes = sorted(set(compile_modes), key=("off", "auto", "on").index)
     ordered_execs = sorted(set(exec_modes), key=EXEC_MODES.index)
-    return [
+    per_op = CheckConfig(
+        strategy=PER_OP_STRATEGY if PER_OP_STRATEGY in names else names[0],
+        backend="memory" if "memory" in backends else backends[0],
+        compile=ordered_modes[0],
+        exec=ordered_execs[0],
+        per_op=True,
+    )
+    return [per_op] + [
         CheckConfig(
             strategy=name,
             backend=backend,
-            batch_size=batch_size,
             compile=mode,
             exec=exec_mode,
         )
         for name in names
         for backend in backends
-        for batch_size in batch_sizes
         for mode in (
             ordered_modes if name in COMPILED_FAMILY else ordered_modes[:1]
         )
@@ -339,42 +357,29 @@ class _Replayer:
             resolution=trace.resolution,
             backend=config.backend,
             seed=trace.seed,
-            batch_size=config.batch_size,
             lineage=config.lineage,
             compile=config.compile,
         )
         self.result = ReplayResult(config=config)
         self.attached = True
-        # Ops are applied in chunks matching the act-phase granularity:
-        # size 1 replays tuple-at-a-time, fixed N replays as delta batches
-        # of up to N, and "auto" follows a local BatchSizeTuner fed with
-        # every flushed batch (the same policy the engine's act phase
-        # uses).
-        self._tuner = (
-            BatchSizeTuner() if config.batch_size == "auto" else None
-        )
 
     # -- op application ------------------------------------------------------
 
-    def _chunk_budget(self) -> int:
-        if self._tuner is not None:
-            return self._tuner.size
-        assert isinstance(self.config.batch_size, int)
-        return self.config.batch_size
+    def _apply_chunk(
+        self, chunk: list[TraceOp], live: list, position: int
+    ) -> None:
+        """Apply the ops ending at *position*, then sync.
 
-    def _apply_chunk(self, chunk: list[TraceOp], live: list) -> None:
-        wm = self.system.wm
-        if len(chunk) == 1 and self._chunk_budget() == 1:
+        A per-op cell propagates its single op as it happens; every other
+        cell applies the chunk as one delta batch.
+        """
+        if self.config.per_op:
             self._apply_op(chunk[0], live)
-            return
-        wm.begin_batch()
-        try:
-            for op in chunk:
-                self._apply_op(op, live)
-        finally:
-            batch = wm.end_batch()
-            if self._tuner is not None:
-                self._tuner.observe(batch)
+        else:
+            with self.system.wm.batch():
+                for op in chunk:
+                    self._apply_op(op, live)
+        self._checkpoint(("op", position))
 
     def _apply_op(self, op: TraceOp, live: list) -> None:
         wm = self.system.wm
@@ -429,26 +434,22 @@ class _Replayer:
 
     def apply_ops(self) -> None:
         live: list = []
-        per_op = self._chunk_budget() == 1 and self._tuner is None
+        size = 1 if self.config.per_op else self.trace.batch
         chunk: list[TraceOp] = []
         for position, op in enumerate(self.trace.ops):
             if op.kind in ("detach", "attach", "compact"):
                 if chunk:
-                    self._apply_chunk(chunk, live)
+                    self._apply_chunk(chunk, live, position - 1)
                     chunk = []
                 self._control(op)
                 self._checkpoint(("ctl", position))
                 continue
             chunk.append(op)
-            if per_op:
-                self._apply_chunk(chunk, live)
-                chunk = []
-                self._checkpoint(("op", position))
-            elif len(chunk) >= self._chunk_budget():
-                self._apply_chunk(chunk, live)
+            if len(chunk) >= size:
+                self._apply_chunk(chunk, live, position)
                 chunk = []
         if chunk:
-            self._apply_chunk(chunk, live)
+            self._apply_chunk(chunk, live, len(self.trace.ops) - 1)
         self._checkpoint(("end_ops",))
 
     def run_cycles(self) -> None:

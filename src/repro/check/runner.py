@@ -90,7 +90,6 @@ def run_check(
     seed: int = 0,
     strategies=None,
     backends=None,
-    batch_sizes=None,
     program: str | None = None,
     save_repro_dir: str | None = None,
     obs: Observability | None = None,
@@ -102,7 +101,7 @@ def run_check(
     """Run a fuzz campaign of *budget* traces; returns the report.
 
     *strategies* restricts (or, as a mapping of name → class, replaces)
-    the strategy set; *backends* / *batch_sizes* restrict their axes.
+    the strategy set; *backends* restricts the backend axis.
     *program* pins the rule base (only op scripts are fuzzed).
     *resolutions* rotates conflict-resolution strategies across traces
     (each trace records the one it used, so repros stay self-contained).
@@ -115,8 +114,6 @@ def run_check(
     matrix_kwargs = {}
     if backends is not None:
         matrix_kwargs["backends"] = tuple(backends)
-    if batch_sizes is not None:
-        matrix_kwargs["batch_sizes"] = tuple(batch_sizes)
     if compile_modes is not None:
         matrix_kwargs["compile_modes"] = tuple(compile_modes)
     if exec_modes is not None:

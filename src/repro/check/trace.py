@@ -123,6 +123,10 @@ class Trace:
     #: of the trace (not the config matrix) because the resolver decides
     #: the fired sequence, which must agree across configurations.
     resolution: str = "lex"
+    #: Ops per delta batch when a replay applies the op script in chunks
+    #: (control ops also end a chunk).  Part of the trace so every
+    #: configuration replays the same chunking; 8 when a file omits it.
+    batch: int = 8
 
     def with_ops(self, ops) -> "Trace":
         return replace(self, ops=tuple(ops))
@@ -139,6 +143,7 @@ class Trace:
             "seed": self.seed,
             "reason": self.reason,
             "resolution": self.resolution,
+            "batch": self.batch,
             "program": self.program,
             "ops": [op.to_json() for op in self.ops],
             "max_cycles": self.max_cycles,
@@ -154,6 +159,7 @@ class Trace:
             max_cycles=int(data.get("max_cycles", 30)),
             reason=data.get("reason", ""),
             resolution=data.get("resolution", "lex"),
+            batch=int(data.get("batch", 8)),
         )
 
     def dumps(self) -> str:

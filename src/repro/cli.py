@@ -3,8 +3,7 @@
     python -m repro.cli run program.ops [--strategy patterns]
                                         [--resolution lex] [--max-cycles N]
                                         [--backend memory] [--quiet]
-                                        [--batch-size N] [--lineage]
-                                        [--compile on|off|auto]
+                                        [--lineage] [--compile on|off|auto]
                                         [--trace-out t.jsonl] [--otel]
                                         [--trace-rotate-bytes N]
                                         [--trace-keep K]
@@ -77,21 +76,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _batch_size(text: str) -> int | str:
-    """Argparse type for ``--batch-size``: a positive int or ``auto``."""
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {text!r}"
-        ) from None
-    # Range validation happens in the engine (ExecutionError -> exit 1),
-    # matching the pre-'auto' CLI behaviour.
-    return value
-
-
 def _run_status(result) -> str:
     return (
         "halted" if result.halted
@@ -147,7 +131,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         seed=args.seed,
         obs=obs,
-        batch_size=args.batch_size,
         lineage=args.lineage,
         compile=args.compile,
     )
@@ -163,7 +146,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "resolution": args.resolution,
                 "backend": args.backend,
                 "seed": args.seed,
-                "batch_size": args.batch_size,
                 "compile": args.compile,
             },
             fsync_every=args.fsync_every,
@@ -202,7 +184,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             resolution=args.resolution,
             backend=args.backend,
-            batch_size=args.batch_size,
             compile=args.compile,
             seed=args.seed,
             command=list(sys.argv[1:]) or ["run", args.file],
@@ -210,14 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             metrics=snapshot,
             trace_path=args.trace_out,
             metrics_path=args.metrics_out,
-            result={
-                "cycles": result.cycles,
-                "status": status,
-                # The batch size actually used by the act phase: for
-                # --batch-size auto this is the tuner's final budget, so
-                # a manifest alone is enough to replay the run exactly.
-                "resolved_batch_size": system.effective_batch_size,
-            },
+            result={"cycles": result.cycles, "status": status},
         )
         print("manifest:", manifest.write(base_dir=args.manifest))
     return 0
@@ -381,7 +355,7 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     """``repro check [FILE] --budget N``: the differential fuzz campaign.
 
     Replays each generated trace through every configured
-    strategy × backend × batch-size combination and reports the first
+    strategy × backend combination and reports the first
     divergence per trace; failures are shrunk with ddmin and, under
     ``--save-repro``, written into the regression corpus.  With FILE the
     rule base is pinned and only op scripts are fuzzed.
@@ -393,9 +367,6 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else 50
     strategies = _csv_choice("--strategies", args.strategies, STRATEGIES)
     backends = _csv(args.backends) if args.backends else None
-    batch_sizes = None
-    if args.batch_sizes:
-        batch_sizes = [_batch_size(text) for text in _csv(args.batch_sizes)]
     resolutions = _csv_choice("--resolutions", args.resolutions, RESOLUTIONS)
     compile_modes = _csv_choice(
         "--compile-modes", args.compile_modes, ("off", "on", "auto")
@@ -417,15 +388,13 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
         obs.enable_metrics()
     if args.crash:
         return _cmd_check_crash(
-            args, budget, backends, batch_sizes, resolutions, obs,
-            exec_modes,
+            args, budget, backends, resolutions, obs, exec_modes,
         )
     report = run_check(
         budget=budget,
         seed=args.seed,
         strategies=strategies,
         backends=backends,
-        batch_sizes=batch_sizes,
         program=_read(args.file) if args.file else None,
         save_repro_dir=args.save_repro,
         obs=obs,
@@ -452,7 +421,7 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_crash(
-    args, budget, backends, batch_sizes, resolutions, obs, exec_modes=None,
+    args, budget, backends, resolutions, obs, exec_modes=None,
 ) -> int:
     """``repro check --crash``: the crash-recovery equivalence campaign."""
     from repro.check import run_crash_check
@@ -460,8 +429,6 @@ def _cmd_check_crash(
     kwargs = {}
     if backends is not None:
         kwargs["backends"] = tuple(backends)
-    if batch_sizes is not None:
-        kwargs["batch_sizes"] = tuple(batch_sizes)
     if exec_modes is not None:
         kwargs["exec_modes"] = exec_modes
     if getattr(args, "replica", False):
@@ -524,7 +491,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 "resolution": "lex",
                 "backend": "memory",
                 "seed": 0,
-                "batch_size": 1,
             },
         )
     try:
@@ -783,16 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sync; default: 64)",
     )
     run.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default=1,
-        metavar="N",
-        help="act-phase delta batch size; 1 (default) propagates WM "
-        "changes tuple-at-a-time, N>1 delivers them to the match "
-        "strategies as batches of up to N deltas (§4.2.3), and 'auto' "
-        "tunes the budget from the observed per-relation group fan-out",
-    )
-    run.add_argument(
         "--compile",
         default="auto",
         choices=["off", "on", "auto"],
@@ -918,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="differential-fuzz N generated traces across the "
-        "strategy × backend × batch-size matrix (omitting FILE "
+        "strategy × backend matrix (omitting FILE "
         "defaults the budget to 50)",
     )
     check.add_argument("--seed", type=int, default=0)
@@ -931,12 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends",
         metavar="A,B",
         help="comma-separated backend subset (default: memory,sqlite)",
-    )
-    check.add_argument(
-        "--batch-sizes",
-        metavar="N,M,...",
-        help="comma-separated batch sizes, ints or 'auto' "
-        "(default: 1,8,auto)",
     )
     check.add_argument(
         "--resolutions",

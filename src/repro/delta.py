@@ -7,8 +7,10 @@ The original reproduction nevertheless funnelled every change through
 one-tuple-at-a-time ``on_insert``/``on_delete`` callbacks.  This module
 provides the batch currency the whole pipeline now speaks:
 
-* the act phase of the interpreter collects a cycle's ``make``/``remove``/
-  ``modify`` effects into one :class:`DeltaBatch`;
+* whoever applies ops chooses the chunking: changes made inside
+  :meth:`repro.engine.wm.WorkingMemory.batch` reach the strategies as
+  one :class:`DeltaBatch` (the interpreter's own act phase stays
+  tuple-at-a-time);
 * :meth:`repro.engine.wm.WorkingMemory.apply_batch` applies a batch to
   storage set-at-a-time (``insert_many``/``delete_many``, one backend
   transaction) and notifies listeners once;
@@ -19,8 +21,8 @@ provides the batch currency the whole pipeline now speaks:
   per-class token sets probing each opposing join memory once per
   (node, group) — ``docs/ALGORITHMS.md`` §7–§8;
 * the §5 concurrent scheduler delivers one batch per transaction commit
-  point (:class:`repro.txn.transactions.RuleTransaction`, ``batched_act``),
-  so the maintenance process still completes before any lock is released.
+  point (:class:`repro.txn.transactions.RuleTransaction`), so the
+  maintenance process still completes before any lock is released.
 
 A batch is an *ordered* sequence of deltas; order matters to the sequential
 fallback and is preserved by :meth:`DeltaBatch.by_relation` within each

@@ -8,7 +8,6 @@ from repro.engine.actions import (
 )
 from repro.engine.conflict import ConflictSet, Instantiation, InstantiationKey
 from repro.engine.interpreter import (
-    BatchSizeTuner,
     FiredRule,
     ProductionSystem,
     RunResult,
@@ -27,7 +26,6 @@ from repro.engine.wm import WMListener, WorkingMemory
 __all__ = [
     "ActionExecutor",
     "ActionOutcome",
-    "BatchSizeTuner",
     "ConflictSet",
     "FiredRule",
     "Halt",

@@ -118,36 +118,6 @@ class _WmTracer:
             )
 
 
-class BatchSizeTuner:
-    """Auto-tunes the act-phase batch size from delivered delta batches.
-
-    The signal is the same one the ``match.batch_group_max`` histogram
-    records: how wide the largest per-relation group of each batch is.
-    A full batch whose largest group covers most of it means set-at-a-time
-    maintenance is amortizing well — double the budget (up to ``ceiling``).
-    A batch fragmented across many relations (largest group ≤ a quarter of
-    the batch) means grouping is not biting — halve toward ``floor``.
-    """
-
-    def __init__(
-        self, initial: int = 8, floor: int = 2, ceiling: int = 256
-    ) -> None:
-        self.size = initial
-        self.floor = floor
-        self.ceiling = ceiling
-
-    def observe(self, batch: DeltaBatch) -> int:
-        """Feed one delivered batch; returns the (possibly new) size."""
-        observed = len(batch)
-        if observed:
-            group_max = max(len(g) for g in batch.by_relation().values())
-            if observed >= self.size and group_max * 2 >= observed:
-                self.size = min(self.size * 2, self.ceiling)
-            elif group_max * 4 <= observed:
-                self.size = max(self.size // 2, self.floor)
-        return self.size
-
-
 @dataclass
 class RunResult:
     """Summary of a :meth:`ProductionSystem.run` call."""
@@ -171,21 +141,11 @@ class ProductionSystem:
     (:class:`~repro.txn.scheduler.ConcurrentScheduler`), whose 2PL
     schedules are serializable and so equal to this serial loop.
 
-    ``batch_size`` selects the Act→Match granularity (§4.2.3's
-    set-orientation).  With the default 1, every ``make``/``remove``/
-    ``modify`` propagates to the match network immediately — the classic
-    tuple-at-a-time behaviour, bit-for-bit.  With N > 1 the act phase
-    buffers the firing's WM change notifications and delivers them to the
-    strategies as one :class:`~repro.delta.DeltaBatch` at cycle end, so
-    maintenance runs set-at-a-time.  Since the next Select only happens
-    after that flush, the batch size changes when maintenance runs, never
-    what fires.
-
-    ``batch_size="auto"`` delegates the budget to a
-    :class:`BatchSizeTuner`: every delivered batch's per-relation group
-    fan-out (the ``match.batch_group_max`` signal) grows or shrinks the
-    next cycle's budget; the current value is published as the
-    ``engine.auto_batch_size`` gauge when observability is on.
+    The Act phase is tuple-at-a-time: every RHS ``make``/``remove``/
+    ``modify`` propagates to the match network as it happens, bit-for-bit
+    OPS5.  Set-at-a-time maintenance (§4.2.3) is the caller's choice: ops
+    applied inside ``wm.batch()`` reach the strategies as one
+    :class:`~repro.delta.DeltaBatch`, and each §5 commit point is one.
     """
 
     def __init__(
@@ -200,7 +160,6 @@ class ProductionSystem:
         counters: Counters | None = None,
         path: str | None = None,
         obs: Observability | None = None,
-        batch_size: int | str = 1,
         lineage: bool = False,
         compile: str = "auto",
         analyses: dict[str, RuleAnalysis] | None = None,
@@ -209,15 +168,6 @@ class ProductionSystem:
             raise ExecutionError(
                 f"unknown compile mode {compile!r}; use 'on', 'off' or 'auto'"
             )
-        self._auto_tuner: BatchSizeTuner | None = None
-        if batch_size == "auto":
-            self._auto_tuner = BatchSizeTuner()
-        elif not isinstance(batch_size, int) or batch_size < 1:
-            raise ExecutionError(
-                f"batch_size must be a positive integer or 'auto', "
-                f"got {batch_size!r}"
-            )
-        self.batch_size = batch_size
         #: Match-compilation mode (:mod:`repro.match.compile`).  ``"auto"``
         #: compiles kernels where possible and falls back per node;
         #: ``"off"`` is the interpreted reference the parity suites pin
@@ -371,51 +321,14 @@ class ProductionSystem:
             return
         obs.event(kind, cycle=self._current_cycle, detail=detail)
 
-    @property
-    def effective_batch_size(self) -> int:
-        """The act-phase batch budget for the next cycle.
-
-        The configured value when fixed; the tuner's current size under
-        ``batch_size="auto"``.
-        """
-        if self._auto_tuner is not None:
-            return self._auto_tuner.size
-        assert isinstance(self.batch_size, int)
-        return self.batch_size
-
-    @property
-    def auto_batch_size(self) -> int | None:
-        """The tuner's current size under ``batch_size="auto"``, else None.
-
-        Recorded in WAL boundary records so a recovered run resumes with
-        the budget the crashed run had tuned its way to.
-        """
-        return self._auto_tuner.size if self._auto_tuner is not None else None
-
-    def restore_run_state(
-        self,
-        fired_keys,
-        output,
-        auto_batch_size: int | None = None,
-    ) -> None:
+    def restore_run_state(self, fired_keys, output) -> None:
         """Reinstate run state captured in WAL boundary records.
 
-        *fired_keys* refill the refraction set, *output* rows (JSON lists
-        or tuples) re-extend the program output, and *auto_batch_size*
-        restores the tuner when ``batch_size="auto"``.
+        *fired_keys* refill the refraction set and *output* rows (JSON
+        lists or tuples) re-extend the program output.
         """
         self._fired_keys.update(fired_keys)
         self.output.extend(tuple(row) for row in output)
-        if auto_batch_size is not None and self._auto_tuner is not None:
-            self._auto_tuner.size = auto_batch_size
-
-    def _observe_flush(self, batch: DeltaBatch) -> None:
-        """Feed one flushed batch to the auto-tuner, if there is one."""
-        if self._auto_tuner is None:
-            return
-        size = self._auto_tuner.observe(batch)
-        if self.obs.enabled:
-            self.obs.metrics.gauge("engine.auto_batch_size").set(size)
 
     def mark_fired(self, instantiation: Instantiation) -> None:
         """Record *instantiation* as fired (refraction), e.g. by an
@@ -437,12 +350,9 @@ class ProductionSystem:
             span.set("conflict_set", len(candidates))
         self._current_cycle = cycle
         tracing = obs.tracer.enabled
-        batching = self.effective_batch_size > 1
         with obs.span("act", cycle=cycle, rule=chosen.rule_name) as act_span:
             if tracing:
                 obs.tracer.set_context(rule=chosen.rule_name)
-            if batching:
-                self.wm.begin_batch()
             try:
                 self._fired_keys.add(chosen.key)
                 outcome = self.executor.execute(
@@ -458,8 +368,6 @@ class ProductionSystem:
                 if outcome.halted:
                     self._emit("halt", record)
             finally:
-                if batching:
-                    self._observe_flush(self.wm.end_batch())
                 if tracing:
                     obs.tracer.clear_context("rule")
             act_span.set("fires", 1)

@@ -5,8 +5,8 @@ network), ``rete-shared`` (§3.2/§6 multiple-query-optimized node
 sharing) and ``rete-dbms`` (§3.2's DBMS realization, persisting alpha
 and beta memories as LEFT/RIGHT relations through
 :class:`~repro.match.rete.runtime.MemoryMirror`).  All three propagate
-change either tuple-at-a-time (``batch_size=1``, bit-for-bit OPS5) or
-as token-batched sets — a netted ``DeltaBatch`` flowing through alpha
+change either tuple-at-a-time (the engine's act phase, bit-for-bit OPS5)
+or as token-batched sets — a netted ``DeltaBatch`` flowing through alpha
 tests and join nodes with one opposing-memory probe per (node, batch
 group); see ``docs/ALGORITHMS.md`` §8 and ``docs/ARCHITECTURE.md``.
 """

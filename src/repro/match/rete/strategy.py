@@ -13,8 +13,9 @@ is netted and handed to :meth:`ReteNetwork.apply_batch`, which pushes
 per-class token *sets* through the network — one probe of the opposing
 LEFT/RIGHT memory per (two-input node, batch group) instead of one per
 tuple (§4.2.3's set-at-a-time argument applied to §3.2's DBMS Rete).
-Single-element batches take the classic tuple-at-a-time path, so
-``batch_size=1`` runs remain bit-for-bit OPS5.
+Single-element batches take the classic tuple-at-a-time path, so the
+engine's act phase, which propagates each change as it happens, remains
+bit-for-bit OPS5.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ DEFAULT_PROGRAM = "examples/orders.ops"
 DEFAULT_BASELINE = "tests/baselines/metrics_baseline.json"
 DEFAULT_STRATEGY = "patterns"
 DEFAULT_BACKEND = "sqlite"
-DEFAULT_BATCH_SIZE = 1
 
 #: Allowed relative growth of a cost counter before the gate fails.
 DEFAULT_TOLERANCE = 0.10
@@ -49,7 +48,6 @@ def collect_metrics(
     program_path: str = DEFAULT_PROGRAM,
     strategy: str = DEFAULT_STRATEGY,
     backend: str = DEFAULT_BACKEND,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     max_cycles: int = 10_000,
 ) -> dict:
     """Run the canned program and return its gated metric values.
@@ -67,7 +65,6 @@ def collect_metrics(
         strategy=strategy,
         backend=backend,
         obs=obs,
-        batch_size=batch_size,
     )
     system.run(max_cycles=max_cycles)
     snapshot = system.snapshot_metrics()
@@ -185,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--program", default=DEFAULT_PROGRAM)
     parser.add_argument("--strategy", default=DEFAULT_STRATEGY)
     parser.add_argument("--backend", default=DEFAULT_BACKEND)
-    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     parser.add_argument(
         "--update",
@@ -200,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
         program_path=args.program,
         strategy=args.strategy,
         backend=args.backend,
-        batch_size=args.batch_size,
     )
     if args.update:
         print(f"baseline updated: {args.baseline} ({len(current)} metrics)")

@@ -83,7 +83,6 @@ class RunManifest:
     strategy: str = ""
     resolution: str = ""
     backend: str = ""
-    batch_size: int = 1
     compile: str = "auto"
     seed: int = 0
     command: list[str] = field(default_factory=list)
@@ -111,7 +110,6 @@ class RunManifest:
                 "strategy": self.strategy,
                 "resolution": self.resolution,
                 "backend": self.backend,
-                "batch_size": self.batch_size,
                 "compile": self.compile,
                 "seed": self.seed,
             },

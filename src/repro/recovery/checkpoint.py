@@ -5,8 +5,7 @@ A checkpoint captures, at one WAL boundary (its ``wal_seq``):
 * every WM relation's rows — exact tids, timetags and values, via the
   storage backends' ordinary iteration;
 * the run's cumulative progress (phase, cycle, fired sequence, output,
-  refraction keys are implied by the fired sequence) and resolver /
-  batch-size-tuner state;
+  refraction keys are implied by the fired sequence) and resolver state;
 * optionally, a canonical snapshot of the Rete LEFT/RIGHT memories
   (the rete family's alpha/beta/negative/mirror contents) used to verify
   the replay-through-match rebuild bit-for-bit at recovery time.

@@ -4,7 +4,7 @@
 log and reconstructs the run at its last committed boundary:
 
 1. the ``meta`` record rebuilds an identical (but empty) system —
-   same program, match strategy, resolver, backend, seed and batch size;
+   same program, match strategy, resolver, backend, seed and compile mode;
 2. a checkpoint, if one is offered and passes its consistency checks,
    restores the WM relations wholesale (exact tids and timetags) and the
    cumulative run state at its ``wal_seq``;
@@ -15,7 +15,7 @@ log and reconstructs the run at its last committed boundary:
    to drift out of sync;
 4. boundary records restore the allocation marks (clock, per-relation
    tid high-water), the refraction set, program output and the
-   resolver/tuner state.
+   resolver state.
 
 Records *after* the last durable boundary are crash debris from an
 uncommitted cycle; they are ignored, and
@@ -99,7 +99,6 @@ def _build_system(meta: dict, obs: Observability | None) -> ProductionSystem:
         resolution=meta["resolution"],
         backend=meta["backend"],
         seed=meta["seed"],
-        batch_size=meta["batch_size"],
         compile=meta.get("compile", "auto"),
         obs=obs or Observability(),
     )
@@ -132,7 +131,6 @@ class RecordApplier:
         self.extra: dict = {}
         self.fired_encoded: list = []
         self.output: list = []
-        self.auto_batch_size = None
         self.resolver_state = None
         self.last_boundary_seq = 0
         self.replayed_batches = 0
@@ -153,7 +151,6 @@ class RecordApplier:
             encode_fired(triple) for triple in state.fired
         ]
         applier.output = [list(row) for row in state.system.output]
-        applier.auto_batch_size = state.system.auto_batch_size
         applier.last_boundary_seq = state.next_seq - 1
         applier.replayed_batches = state.replayed_batches
         applier.replayed_deltas = state.replayed_deltas
@@ -184,7 +181,6 @@ class RecordApplier:
         self.extra = dict(ckpt_state.get("extra") or {})
         self.fired_encoded = list(ckpt_state["fired"])
         self.output = list(ckpt_state["output"])
-        self.auto_batch_size = ckpt_state.get("auto_batch_size")
         self.resolver_state = ckpt_state.get("resolver_state")
         self.last_boundary_seq = ckpt["wal_seq"]
 
@@ -215,8 +211,6 @@ class RecordApplier:
         self.output.extend(body["output_delta"])
         self.system.wm.catalog.clock.advance_to(body["clock"])
         self.system.wm.restore_tid_marks(body["tids"])
-        if body.get("auto_batch_size") is not None:
-            self.auto_batch_size = body["auto_batch_size"]
         if body.get("resolver_state") is not None:
             self.resolver_state = body["resolver_state"]
         self.last_boundary_seq = seq
@@ -228,7 +222,6 @@ class RecordApplier:
         self.system.restore_run_state(
             fired_keys={key for _, _, key in fired},
             output=self.output,
-            auto_batch_size=self.auto_batch_size,
         )
         if self.resolver_state is not None and isinstance(
             self.system.resolver, SeededRandom

@@ -100,9 +100,8 @@ class DurableRun:
         """Open a fresh log for *system* and commit the setup boundary.
 
         *config* is the run configuration recovery needs to rebuild an
-        identical system: ``strategy``, ``resolution``, ``backend``,
-        ``seed`` and ``batch_size`` (plus ``compile``, if set).  The
-        system's current WM
+        identical system: ``strategy``, ``resolution``, ``backend`` and
+        ``seed`` (plus ``compile``, if set).  The system's current WM
         (its initial elements were inserted before any log existed) is
         logged as the first batch record, so recovery replays it like any
         other committed batch.  *wal_rotate_bytes* > 0 turns on segment
@@ -251,7 +250,6 @@ class DurableRun:
             "halted": self.halted,
             "clock": self.system.wm.catalog.clock.current,
             "tids": self.system.wm.tid_marks(),
-            "auto_batch_size": self.system.auto_batch_size,
             "resolver_state": self._resolver_state(),
             "extra": self.extra,
         }
@@ -350,7 +348,6 @@ class DurableRun:
             "fired": list(self._fired),
             "output": [list(row) for row in self.system.output],
             "halted": self.halted,
-            "auto_batch_size": self.system.auto_batch_size,
             "resolver_state": self._resolver_state(),
             "extra": self.extra,
         }

@@ -35,11 +35,17 @@ DEFAULT_CONFIG = {
     "resolution": "lex",
     "backend": "memory",
     "seed": 0,
-    "batch_size": 1,
 }
 
 #: Keys an attach request's ``config`` may override.
 CONFIG_KEYS = tuple(DEFAULT_CONFIG) + ("compile",)
+
+#: Keys older clients may still send: the one value that names what a
+#: tenant does today (accepted and dropped), and why any other is refused.
+RETIRED_KEYS = {
+    "firing": ("instance", "tenants fire one instantiation per cycle"),
+    "batch_size": (1, "the act phase propagates each change as it happens"),
+}
 
 #: Rotate tenant logs at this segment size unless configured otherwise.
 DEFAULT_ROTATE_BYTES = 256 * 1024
@@ -112,14 +118,13 @@ class TenantSession:
         """
         cfg = dict(DEFAULT_CONFIG)
         for key, value in (config or {}).items():
-            # Unknown keys are dropped; "firing": "instance" (what older
-            # clients send) is one of them, any other firing is refused.
-            if key == "firing" and value != "instance":
-                raise ReproError(
-                    f"unsupported firing mode {value!r}: tenants fire one "
-                    "instantiation per cycle"
-                )
-            if key in CONFIG_KEYS:
+            # Unknown keys are dropped, and so is a retired key carrying
+            # its accepted value; any other value of a retired key is not.
+            if key in RETIRED_KEYS:
+                accepted, reason = RETIRED_KEYS[key]
+                if value != accepted:
+                    raise ReproError(f"unsupported {key} {value!r}: {reason}")
+            elif key in CONFIG_KEYS:
                 cfg[key] = value
         system = ProductionSystem(
             pack.program,

@@ -114,7 +114,6 @@ class ConcurrentScheduler:
         system: ProductionSystem,
         retries: int = 3,
         policy: str = "detect",
-        batched_act: bool = True,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(
@@ -123,9 +122,6 @@ class ConcurrentScheduler:
         self.system = system
         self.retries = retries
         self.policy = policy
-        #: §5 batched act mode: each transaction's maintenance is one
-        #: delta batch per commit point (see RuleTransaction.batched_act).
-        self.batched_act = batched_act
         self.history = History()
         self._next_txn_id = 0
 
@@ -154,7 +150,6 @@ class ConcurrentScheduler:
                     instantiation,
                     analyses[instantiation.rule_name],
                     retries=self.retries,
-                    batched_act=self.batched_act,
                 )
             )
         return transactions

@@ -82,12 +82,10 @@ def plan_locks(
 class RuleTransaction:
     """One conflict-set entry executing under 2PL.
 
-    ``batched_act`` (the default) is §5's batched act mode: the firing's
-    RHS effects are grouped into one :class:`~repro.delta.DeltaBatch` per
-    commit point, so the maintenance process consumes them set-at-a-time
-    — once, just before the locks are released.  ``batched_act=False``
-    propagates each WM change tuple-at-a-time as the RHS executes (the
-    pre-batching behaviour, kept for comparison runs).
+    The firing's RHS effects are grouped into one
+    :class:`~repro.delta.DeltaBatch` per commit point, so the maintenance
+    process consumes them set-at-a-time — once, just before the locks
+    are released.
     """
 
     txn_id: int
@@ -100,8 +98,7 @@ class RuleTransaction:
     blocked_ticks: int = 0
     retries_left: int = 3
     outcome: ActionOutcome | None = None
-    batched_act: bool = True
-    #: WM deltas this transaction's commit point delivered (batched mode).
+    #: WM deltas this transaction's commit point delivered.
     commit_deltas: int = 0
 
     @classmethod
@@ -111,7 +108,6 @@ class RuleTransaction:
         instantiation: Instantiation,
         analysis: RuleAnalysis,
         retries: int = 3,
-        batched_act: bool = True,
     ) -> "RuleTransaction":
         """Construct with planned locks."""
         return cls(
@@ -120,7 +116,6 @@ class RuleTransaction:
             analysis=analysis,
             requests=plan_locks(analysis, instantiation),
             retries_left=retries,
-            batched_act=batched_act,
         )
 
     @property
@@ -198,22 +193,16 @@ class RuleTransaction:
             kind = "w" if request.mode in ("X", "IX") else "r"
             history.record(self.txn_id, kind, request.target)
         system.mark_fired(self.instantiation)
-        if self.batched_act:
-            # One firing's WM changes are one delta batch per commit
-            # point: the maintenance process consumes the RHS effects
-            # set-at-a-time, and it still completes before the commit
-            # point below, preserving the paper's "no lock released
-            # before maintenance" discipline.
-            before = system.wm.pending_deltas()
-            with system.wm.batch():
-                self.outcome = system.executor.execute(
-                    self.analysis, self.instantiation
-                )
-                self.commit_deltas = system.wm.pending_deltas() - before
-        else:
+        # One firing's WM changes are one delta batch per commit point:
+        # the maintenance process consumes the RHS effects set-at-a-time,
+        # and it still completes before the commit point below, preserving
+        # the paper's "no lock released before maintenance" discipline.
+        before = system.wm.pending_deltas()
+        with system.wm.batch():
             self.outcome = system.executor.execute(
                 self.analysis, self.instantiation
             )
+            self.commit_deltas = system.wm.pending_deltas() - before
         system.output.extend(self.outcome.written)
         for row in self.outcome.inserted:
             history.record(self.txn_id, "w", tuple_target(row.relation, row.tid))
@@ -226,7 +215,7 @@ class RuleTransaction:
         locks.release_all(self.txn_id)
         self.state = COMMITTED
         obs = system.obs
-        if obs.enabled and self.batched_act:
+        if obs.enabled:
             obs.metrics.counter("txn.commit_deltas").inc(self.commit_deltas)
 
     def abort(self, locks: LockManager, consume_retry: bool = True) -> None:

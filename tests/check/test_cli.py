@@ -35,7 +35,6 @@ class TestFuzzCheck:
     FAST = [
         "--strategies", "rete,patterns",
         "--backends", "memory",
-        "--batch-sizes", "1",
     ]
 
     def test_budget_runs_campaign(self, capsys):
@@ -49,7 +48,7 @@ class TestFuzzCheck:
         # keep the matrix tiny so the default 50 traces stay fast.
         assert main(
             ["check", "--budget", "1", "--strategies", "rete",
-             "--backends", "memory", "--batch-sizes", "1"]
+             "--backends", "memory"]
         ) == 0
         assert "1/1 traces" in capsys.readouterr().out
 

@@ -1,8 +1,12 @@
 """Trace generation: determinism, profile rotation, pinned programs."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.check import PROFILES, Trace, generate_trace
+from repro.check.generator import BATCH_CHOICES
 from repro.lang import parse_program
 
 
@@ -15,6 +19,32 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         assert generate_trace(0, 0) != generate_trace(1, 0)
+
+
+class TestBatchDraw:
+    def test_batch_is_drawn_from_the_choices(self):
+        drawn = {generate_trace(0, i).batch for i in range(40)}
+        assert drawn == set(BATCH_CHOICES)
+
+    def test_drawing_batch_leaves_program_and_ops_unchanged(self):
+        """The chunk size has its own RNG stream: every (seed, index)
+        still yields the program and ops it yielded before traces
+        carried a batch (digest taken from that generator)."""
+        digest = hashlib.sha256()
+        for seed in range(3):
+            for index in range(7):
+                trace = generate_trace(seed, index)
+                digest.update(json.dumps(
+                    [trace.program, [op.to_json() for op in trace.ops]]
+                ).encode())
+        assert digest.hexdigest() == (
+            "ac6e48fd3ca66a68d89e28b109af699d105b3bcb255c9b0051078cd34139a225"
+        )
+
+    def test_a_file_without_batch_replays_in_chunks_of_8(self):
+        data = generate_trace(0, 0).to_json()
+        del data["batch"]
+        assert Trace.from_json(data).batch == 8
 
 
 class TestProfiles:

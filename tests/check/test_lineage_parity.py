@@ -12,19 +12,19 @@ from repro.check import CheckConfig, generate_trace, run_trace
 
 
 def test_label_carries_the_lineage_suffix():
-    assert CheckConfig("rete", "memory", 1, lineage=True).label == (
-        "rete/memory/batch=1/lineage"
+    assert CheckConfig("rete", "memory", lineage=True).label == (
+        "rete/memory/lineage"
     )
-    assert "/lineage" not in CheckConfig("rete", "memory", 1).label
+    assert "/lineage" not in CheckConfig("rete", "memory").label
 
 
 @pytest.mark.parametrize("profile", [0, 3, 5])
 def test_lineage_cells_agree_with_their_twins(profile):
     trace = generate_trace(11, profile)
     configs = [
-        CheckConfig("rete", "memory", 1),
-        CheckConfig("rete", "memory", 1, lineage=True),
-        CheckConfig("rete-shared", "memory", 8, lineage=True),
-        CheckConfig("patterns", "memory", "auto", lineage=True),
+        CheckConfig("rete", "memory", per_op=True),
+        CheckConfig("rete", "memory", lineage=True, per_op=True),
+        CheckConfig("rete-shared", "memory", lineage=True),
+        CheckConfig("patterns", "memory", lineage=True),
     ]
     assert run_trace(trace, configs=configs) is None

@@ -1,5 +1,7 @@
 """The differential oracle: clean parity, injected faults, error capture."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import (
@@ -18,9 +20,9 @@ from repro.match import STRATEGIES, SimplifiedStrategy
 #: the full strategy space (the full matrix runs in test_full_matrix and
 #: the corpus replay).
 FAST = [
-    CheckConfig("rete", "memory", 1),
-    CheckConfig("patterns", "memory", 8),
-    CheckConfig("simplified-indexed", "memory", "auto"),
+    CheckConfig("rete", "memory", per_op=True),
+    CheckConfig("patterns", "memory"),
+    CheckConfig("simplified-indexed", "memory"),
 ]
 
 
@@ -59,30 +61,36 @@ class ExplodingStrategy(SimplifiedStrategy):
 class TestMatrix:
     def test_default_matrix_covers_all_axes(self):
         configs = default_matrix()
-        # Every strategy gets an interpreted cell per backend × batch size;
-        # the compiled family doubles up with a compile="on" twin.
-        expected = (len(STRATEGIES) + len(COMPILED_FAMILY)) * 2 * 3
-        assert len(configs) == expected
+        # Every strategy gets an interpreted cell per backend; the
+        # compiled family doubles up with a compile="on" twin; one per-op
+        # reference cell leads the matrix.
+        expected = (len(STRATEGIES) + len(COMPILED_FAMILY)) * 2 + 1
+        assert len(configs) == expected == 25
         assert {c.strategy for c in configs} == set(STRATEGIES)
         assert {c.backend for c in configs} == {"memory", "sqlite"}
-        assert {c.batch_size for c in configs} == {1, 8, "auto"}
+        assert [c for c in configs if c.per_op] == [configs[0]]
+        assert configs[0].label == "rete-shared/memory/per-op"
         compiled = {c.strategy for c in configs if c.compile == "on"}
         assert compiled == set(COMPILED_FAMILY)
+        execs = default_matrix(exec_modes=("cycle", "txn"))
+        assert len(execs) == 49
+        assert execs[0].per_op and execs[0].exec == "cycle"
 
     def test_interpreted_cell_precedes_its_compiled_twin(self):
         configs = default_matrix()
         for index, config in enumerate(configs):
             if config.compile == "on":
                 reference = CheckConfig(
-                    strategy=config.strategy,
-                    backend=config.backend,
-                    batch_size=config.batch_size,
+                    strategy=config.strategy, backend=config.backend,
                 )
                 assert configs.index(reference) < index
 
     def test_strategy_names_subset(self):
-        configs = default_matrix(["rete", "patterns"], backends=("memory",))
+        configs = default_matrix(["rete", "patterns"], backends=("sqlite",))
         assert {c.strategy for c in configs} == {"rete", "patterns"}
+        # Without rete-shared or memory, the per-op cell falls back to
+        # the first selected strategy and backend.
+        assert configs[0].label == "patterns/sqlite/per-op"
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +99,7 @@ class TestMatrix:
 
 class TestExecAxis:
     def test_labels_encode_exec(self):
-        assert CheckConfig("rete").label == "rete/memory/batch=1"
+        assert CheckConfig("rete").label == "rete/memory"
         assert CheckConfig("rete", exec="txn").label.endswith("/txn")
         assert CheckConfig("rete", compile="on", exec="txn").label.endswith(
             "/compiled/txn"
@@ -102,9 +110,7 @@ class TestExecAxis:
         own reference across every strategy and both backends (different
         modes are compared only within their own group).  The traces are
         two that set-at-a-time firing could not replay consistently."""
-        configs = default_matrix(
-            batch_sizes=(1, 8), exec_modes=("cycle", "txn")
-        )
+        configs = default_matrix(exec_modes=("cycle", "txn"))
         for trace in (generate_trace(1, 38), generate_trace(3, 17)):
             assert run_trace(trace, configs=configs) is None
 
@@ -125,7 +131,7 @@ class TestCleanParity:
         assert run_trace(trace, configs=FAST) is None
 
     def test_full_matrix_agrees(self):
-        """One trace through all strategies × backends × batch sizes."""
+        """One trace through all strategies × backends, plus per-op."""
         trace = generate_trace(5, 1)  # negation profile
         assert run_trace(trace) is None
 
@@ -133,9 +139,9 @@ class TestCleanParity:
 class TestReplay:
     def test_checkpoints_and_final_wm_recorded(self):
         trace = generate_trace(2, 0)
-        result = replay_config(trace, CheckConfig("rete", "memory", 1))
+        result = replay_config(trace, CheckConfig("rete", per_op=True))
         assert ("end_ops",) in result.checkpoints
-        # batch=1 checkpoints after every data op
+        # a per-op cell checkpoints after every data op
         data_ops = [
             i for i, op in enumerate(trace.ops)
             if op.kind in ("insert", "delete", "modify")
@@ -146,10 +152,15 @@ class TestReplay:
         assert result.rete_memories  # rete-family records snapshots
 
     def test_batched_replay_skips_per_op_checkpoints(self):
-        trace = generate_trace(2, 0)
-        result = replay_config(trace, CheckConfig("patterns", "memory", 8))
+        # A chunked cell syncs once per chunk of trace.batch ops (the
+        # plain profile has no control ops to end a chunk early).
+        trace = replace(generate_trace(2, 0), batch=8)
+        result = replay_config(trace, CheckConfig("patterns", "memory"))
         assert ("end_ops",) in result.checkpoints
-        assert not any(tag[0] == "op" for tag in result.checkpoints)
+        last = len(trace.ops) - 1
+        assert sorted(
+            tag[1] for tag in result.checkpoints if tag[0] == "op"
+        ) == sorted({*range(7, last + 1, 8), last})
         assert not result.rete_memories  # non-rete takes no snapshots
 
     def test_detach_attach_trace_replays(self):
@@ -164,7 +175,7 @@ class TestReplay:
                 TraceOp.insert("item", (3,)),
             ),
         )
-        result = replay_config(trace, CheckConfig("rete", "memory", 1))
+        result = replay_config(trace, CheckConfig("rete", per_op=True))
         assert ("ctl", 1) in result.checkpoints
         assert ("ctl", 3) in result.checkpoints
         assert result.final_wm["item"][0][2] == (1,)
@@ -184,9 +195,7 @@ class TestFaultDetection:
         trace = generate_trace(0, 0)
         divergence = run_trace(
             trace,
-            configs=default_matrix(
-                strategies, backends=("memory",), batch_sizes=(1,)
-            ),
+            configs=default_matrix(strategies, backends=("memory",)),
             strategies=strategies,
         )
         assert divergence is not None
@@ -203,9 +212,7 @@ class TestFaultDetection:
         trace = generate_trace(0, 0)
         divergence = run_trace(
             trace,
-            configs=default_matrix(
-                strategies, backends=("memory",), batch_sizes=(1,)
-            ),
+            configs=default_matrix(strategies, backends=("memory",)),
             strategies=strategies,
         )
         assert divergence is not None
@@ -216,11 +223,12 @@ class TestFaultDetection:
         strategies = {"rete": STRATEGIES["rete"], "broken": BrokenStrategy}
         divergence = run_trace(
             generate_trace(0, 0),
-            configs=default_matrix(
-                strategies, backends=("memory",), batch_sizes=(1,)
-            ),
+            configs=[
+                CheckConfig("rete", per_op=True),
+                CheckConfig("broken", per_op=True),
+            ],
             strategies=strategies,
         )
         text = divergence.describe()
-        assert "broken/memory/batch=1" in text
-        assert "rete/memory/batch=1" in text
+        assert "broken/memory" in text
+        assert "rete/memory" in text

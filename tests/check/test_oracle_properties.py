@@ -49,11 +49,12 @@ PROGRAM = """
     (remove 1))
 """
 
-#: One tuple-at-a-time config and one batched config: the pair most
-#: likely to disagree when delta grouping is wrong.
+#: One per-op config and one chunked config (ops in batches of
+#: ``Trace.batch``): the pair most likely to disagree when delta grouping
+#: is wrong.
 CONFIGS = [
-    CheckConfig("rete", "memory", 1),
-    CheckConfig("patterns", "memory", 8),
+    CheckConfig("rete", "memory", per_op=True),
+    CheckConfig("patterns", "memory"),
 ]
 
 ITEMS = st.integers(0, 3)
@@ -92,7 +93,7 @@ class OracleMachine(RuleBasedStateMachine):
     def strategies_agree(self):
         trace = Trace(
             name="stateful", seed=0, program=PROGRAM,
-            ops=tuple(self.ops), max_cycles=20,
+            ops=tuple(self.ops), max_cycles=20, batch=8,
         )
         divergence = run_trace(trace, configs=CONFIGS)
         assert divergence is None, divergence.describe()

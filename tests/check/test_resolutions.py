@@ -64,7 +64,6 @@ class TestCampaign:
             seed=3,
             strategies=("rete",),
             backends=("memory",),
-            batch_sizes=(1,),
             resolutions=("mea", "fifo"),
         )
         assert report.ok

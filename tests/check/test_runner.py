@@ -9,7 +9,7 @@ from repro.obs import Observability, RingBufferSink
 
 from tests.check.test_oracle import BrokenStrategy
 
-FAST = dict(backends=("memory",), batch_sizes=(1,), compile_modes=("off",))
+FAST = dict(backends=("memory",), compile_modes=("off",))
 
 
 class TestCleanRun:
@@ -18,16 +18,17 @@ class TestCleanRun:
                            **FAST)
         assert report.ok
         assert report.traces_run == 2
-        assert report.configs == 2
+        assert report.configs == 3  # per-op reference + each strategy
         assert report.failures == []
         assert "2/2 traces" in report.summary()
         assert "OK" in report.summary()
 
     def test_compiled_twins_join_by_default(self):
         report = run_check(budget=1, seed=0, strategies=["rete", "patterns"],
-                           backends=("memory",), batch_sizes=(1,))
+                           backends=("memory",))
         assert report.ok
-        assert report.configs == 4  # each strategy + its compiled twin
+        # the per-op reference, each strategy and its compiled twin
+        assert report.configs == 5
 
     def test_spans_and_metrics(self):
         sink = RingBufferSink()
@@ -38,7 +39,7 @@ class TestCleanRun:
         assert len(sink.spans("check.trace")) == 3
         snapshot = obs.metrics.snapshot()
         assert snapshot["counters"]["check.traces"] == 3
-        assert snapshot["counters"]["check.replays"] == 6
+        assert snapshot["counters"]["check.replays"] == 9
         assert "check.failures" not in snapshot["counters"]
         assert snapshot["histograms"]["check.trace_us"]["count"] == 3
 

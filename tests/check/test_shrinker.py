@@ -15,9 +15,7 @@ from tests.check.test_oracle import BrokenStrategy
 
 def broken_setup():
     strategies = {"rete": STRATEGIES["rete"], "broken": BrokenStrategy}
-    configs = default_matrix(
-        strategies, backends=("memory",), batch_sizes=(1,)
-    )
+    configs = default_matrix(strategies, backends=("memory",))
 
     def failing(trace):
         return run_trace(trace, configs=configs, strategies=strategies) \

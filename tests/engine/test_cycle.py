@@ -129,17 +129,19 @@ class TestOneFiringPerCycle:
         result = system.run()
         assert result.cycles == 3
 
-    @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_firing_retracts_sibling_instantiations(self, batch_size):
+    def test_firing_retracts_sibling_instantiations(self):
         # Both instantiations share CE1's element; firing either one
-        # modifies it away, so the other never fires, at any batch size.
+        # modifies it away, so the other never fires.  The elements
+        # arrive as one delta batch, the way a caller batching its ops
+        # delivers them.
         source = """
         (literalize K a1 a0)
         (p r (K ^a1 1 ^a0 <j>) (K ^a0 <j>) --> (modify 1 ^a1 0))
         """
-        system = ProductionSystem(source, batch_size=batch_size)
-        system.insert("K", (1, 5))
-        system.insert("K", (0, 5))
+        system = ProductionSystem(source)
+        with system.wm.batch():
+            system.insert("K", (1, 5))
+            system.insert("K", (0, 5))
         assert len(system.eligible()) == 2
         result = system.run()
         assert result.cycles == 1
@@ -150,6 +152,10 @@ class TestOneFiringPerCycle:
     def test_firing_keyword_rejected(self):
         with pytest.raises(TypeError, match="firing"):
             ProductionSystem(PAY, firing="instance")
+
+    def test_batch_size_keyword_rejected(self):
+        with pytest.raises(TypeError, match="batch_size"):
+            ProductionSystem(PAY, batch_size=8)
 
 
 class TestProductionSystemConstruction:

@@ -450,7 +450,7 @@ class TestOracleCatchesDrift:
     ``pattern-index`` divergence in the fuzz oracle."""
 
     def test_healthy_strategy_passes(self):
-        assert run_trace(CATCH_TRACE, [CheckConfig("patterns")]) is None
+        assert run_trace(CATCH_TRACE, [CheckConfig("patterns", per_op=True)]) is None
 
     @pytest.mark.parametrize(
         "store_class, ops", [(_NoDrop, 6), (_NoAdd, 4)]
@@ -458,7 +458,7 @@ class TestOracleCatchesDrift:
     def test_skipped_maintenance_is_caught(self, store_class, ops):
         divergence = run_trace(
             CATCH_TRACE.with_ops(CATCH_TRACE.ops[:ops]),
-            [CheckConfig("patterns")],
+            [CheckConfig("patterns", per_op=True)],
             strategies={"patterns": _broken(store_class)},
         )
         assert divergence is not None

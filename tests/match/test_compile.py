@@ -491,11 +491,11 @@ class TestPersistentIndexes:
     @settings(max_examples=60, deadline=None)
     @given(
         ops=st.lists(_index_op, max_size=40),
-        batch_size=st.sampled_from([1, 4, 64]),
+        batch=st.sampled_from([1, 4, 64]),
         strategy_name=st.sampled_from(["rete", "rete-shared"]),
     )
     def test_buckets_equal_the_filtered_scan_after_any_stream(
-        self, ops, batch_size, strategy_name
+        self, ops, batch, strategy_name
     ):
         """After any insert/delete/modify/detach/attach stream — at every
         sync point of it and through the recognize-act cycles that
@@ -505,12 +505,14 @@ class TestPersistentIndexes:
         snapshots)."""
         trace = Trace(
             name="indexes", seed=0, program=IMBALANCE, ops=tuple(ops),
-            max_cycles=10,
+            max_cycles=10, batch=batch,
         )
         runs = {
             mode: replay_config(
                 trace,
-                CheckConfig(strategy_name, batch_size=batch_size, compile=mode),
+                CheckConfig(
+                    strategy_name, compile=mode, per_op=batch == 1
+                ),
             )
             for mode in ("off", "on")
         }

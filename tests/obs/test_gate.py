@@ -62,13 +62,6 @@ class TestCollect:
         for name in collect_metrics():
             assert not name.endswith(("_us", "_seconds", "_ms"))
 
-    def test_batched_run_changes_costs_not_outcome(self):
-        tuple_run = collect_metrics(batch_size=1)
-        batched = collect_metrics(batch_size=8)
-        assert batched["engine.wm_size"] == tuple_run["engine.wm_size"]
-        assert batched["engine.conflict_set"] == tuple_run["engine.conflict_set"]
-        assert batched["engine.fires"] == tuple_run["engine.fires"]
-
 
 class TestCheckedInBaseline:
     def test_gate_passes_against_checked_in_baseline(self):

@@ -124,16 +124,14 @@ class TestCheckAxes:
     def test_resolutions_axis_runs(self, capsys):
         assert main(
             ["check", "--budget", "2", "--resolutions", "mea,fifo",
-             "--strategies", "rete", "--backends", "memory",
-             "--batch-sizes", "1"]
+             "--strategies", "rete", "--backends", "memory"]
         ) == 0
         out = capsys.readouterr().out
         assert "2/2 traces" in out and "OK" in out
 
     def test_crash_campaign_runs(self, capsys):
         assert main(
-            ["check", "--budget", "2", "--crash", "--backends", "memory",
-             "--batch-sizes", "8"]
+            ["check", "--budget", "2", "--crash", "--backends", "memory"]
         ) == 0
         out = capsys.readouterr().out
         assert "2/2 traces" in out

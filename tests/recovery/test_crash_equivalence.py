@@ -7,6 +7,8 @@ divergence in checkpoints, fired sequence, output, final WM or final
 conflict set.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import run_crash_check, run_crash_trace
@@ -18,7 +20,7 @@ BACKENDS = ("memory", "sqlite")
 
 @pytest.fixture(scope="module")
 def trace():
-    return generate_trace(3, 1)
+    return replace(generate_trace(3, 1), batch=8)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -31,7 +33,7 @@ def test_every_site_recovers_equivalently(trace, backend, site, tmp_path):
     finding, stats = run_crash_trace(
         trace,
         backend=backend,
-        batch_size=8,
+        per_op=False,
         site=site,
         after=1,
         checkpoint_every=2,
@@ -45,14 +47,12 @@ def test_every_site_recovers_equivalently(trace, backend, site, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batch_size", (1, "auto"))
-def test_batch_size_axis_recovers_equivalently(
-    trace, backend, batch_size, tmp_path
-):
+def test_per_op_ops_recover_equivalently(trace, backend, tmp_path):
+    """Ops applied one at a time, each committing its own boundary."""
     finding, stats = run_crash_trace(
         trace,
         backend=backend,
-        batch_size=batch_size,
+        per_op=True,
         site="commit.pre",
         after=3,
         checkpoint_every=2,
@@ -69,7 +69,7 @@ def test_late_crash_hits_checkpoint_fast_path(trace, tmp_path):
     finding, stats = run_crash_trace(
         trace,
         backend="memory",
-        batch_size=8,
+        per_op=False,
         site="commit.post",
         after=4,
         checkpoint_every=1,

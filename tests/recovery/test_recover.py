@@ -44,7 +44,6 @@ def config(backend="memory", **overrides):
         "resolution": "lex",
         "backend": backend,
         "seed": 0,
-        "batch_size": 1,
     }
     base.update(overrides)
     return base
@@ -58,7 +57,6 @@ def build(backend="memory", **overrides):
         resolution=cfg["resolution"],
         backend=cfg["backend"],
         seed=cfg["seed"],
-        batch_size=cfg["batch_size"],
     ), cfg
 
 
@@ -246,22 +244,32 @@ class TestLifecycle:
         assert second.fired == expected["fired"]
 
     @staticmethod
-    def crash_and_recover_with_meta(tmp_path, **meta):
-        """Crash a run whose meta record carries *meta*; check the
-        recovered system equals a twin that never saw those keys, and
-        that it resumes to the reference state."""
+    def crash_and_recover_with_meta(tmp_path, meta, body=None):
+        """Crash a run whose meta record carries *meta*, and whose cycle
+        boundaries and checkpoints carry *body*; check the recovered
+        system equals a twin that never saw those keys, and that it
+        resumes to the reference state."""
         wal = str(tmp_path / "run.wal")
+        ckpt = str(tmp_path / "run.ckpt") if body else None
         crashpoints = Crashpoints()
         crashpoints.arm("commit.pre", after=3)
         system, cfg = build(**meta)
         run = DurableRun.start(
-            system, wal, PROGRAM, cfg, crashpoints=crashpoints
+            system, wal, PROGRAM, cfg, crashpoints=crashpoints,
+            checkpoint_path=ckpt, checkpoint_every=1,
         )
+        if body:
+            commit, snapshot = run.writer.commit, run._state_snapshot
+            run.writer.commit = lambda kind, record: commit(
+                kind, {**record, **body} if kind == "boundary" else record
+            )
+            run._state_snapshot = lambda: {**snapshot(), **body}
         with pytest.raises(SimulatedCrash):
             run.run()
         run.abandon()
 
-        state = recover(wal)
+        state = recover(wal, ckpt)
+        assert state.checkpoint_used == bool(body)
         for key, value in meta.items():
             assert state.meta[key] == value
         twin, _ = build()
@@ -277,13 +285,22 @@ class TestLifecycle:
     def test_meta_with_a_workers_count_still_recovers(self, tmp_path):
         """Older builds recorded a match worker count in the meta record;
         such a log recovers onto the one serial match path."""
-        self.crash_and_recover_with_meta(tmp_path, workers=4)
+        self.crash_and_recover_with_meta(tmp_path, {"workers": 4})
 
     def test_meta_with_a_firing_mode_still_recovers(self, tmp_path):
         """Older builds recorded ``"firing": "instance"`` in the meta
         record; recovery ignores the key (one firing per cycle is the
         only Act granularity)."""
-        self.crash_and_recover_with_meta(tmp_path, firing="instance")
+        self.crash_and_recover_with_meta(tmp_path, {"firing": "instance"})
+
+    @pytest.mark.parametrize("batch_size", [8, "auto"])
+    def test_act_batching_keys_still_recover(self, tmp_path, batch_size):
+        """Older builds recorded an act batch size in the meta record and
+        the tuner's size in every boundary and checkpoint; recovery
+        ignores both (the act phase is tuple-at-a-time)."""
+        self.crash_and_recover_with_meta(
+            tmp_path, {"batch_size": batch_size}, {"auto_batch_size": 16}
+        )
 
     def test_wal_attachment_changes_nothing(self, tmp_path):
         expected = reference()
@@ -299,7 +316,7 @@ class TestLifecycle:
         assert fired_triples(result.fired) == expected["fired"]
 
     def test_txn_scheduler_commits_flow_into_the_wal(self, tmp_path):
-        """§5 commit points: each concurrent firing's batched act flushes
+        """§5 commit points: each concurrent firing's RHS flushes
         through ``wm.batch()``, so an attached WAL records one batch per
         committed transaction with no txn-layer changes."""
         from repro.txn import ConcurrentScheduler

@@ -53,7 +53,6 @@ CONFIG = {
     "resolution": "lex",
     "backend": "memory",
     "seed": 0,
-    "batch_size": 1,
 }
 
 

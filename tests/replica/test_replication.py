@@ -39,7 +39,7 @@ PROGRAM = """
 """
 
 CFG = {"strategy": "rete", "resolution": "lex", "backend": "memory",
-       "seed": 0, "batch_size": 1}
+       "seed": 0}
 
 
 def wm_rows(system):

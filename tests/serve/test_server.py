@@ -323,6 +323,42 @@ class TestAttachSemantics:
 
         run(scenario())
 
+    def test_batch_size_one_is_accepted(self, tmp_path):
+        """``"batch_size": 1`` (what older clients sent) names the only
+        act granularity; the attach succeeds and drops the key."""
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            call, writer = await connect(server)
+            reply = await call(op="attach", tenant="t1", program=PROGRAM,
+                               config={"batch_size": 1})
+            assert reply["ok"] is True
+            meta = server.registry.get("t1").run.writer.wal_meta
+            assert "batch_size" not in meta
+            writer.close()
+            await server.shutdown()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("value", [8, "auto"])
+    def test_other_batch_sizes_are_refused(self, tmp_path, value):
+        """Act batching is gone: any other batch size gets a structured
+        error naming the key; no tenant or log is created."""
+
+        async def scenario():
+            server = await started_server(tmp_path)
+            call, writer = await connect(server)
+            reply = await call(op="attach", tenant="t1", program=PROGRAM,
+                               config={"batch_size": value})
+            assert reply["ok"] is False
+            assert "batch_size" in reply["error"]
+            assert server.registry.get("t1") is None
+            assert scan_tenants(str(tmp_path)) == []
+            writer.close()
+            await server.shutdown()
+
+        run(scenario())
+
     def test_two_tenants_share_one_pack(self, tmp_path):
         async def scenario():
             server = await started_server(tmp_path)

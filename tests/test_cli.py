@@ -47,33 +47,6 @@ class TestRun:
         assert main(["run", program_file, "--max-cycles", "2"]) == 0
         assert "cycle limit reached" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("batch_size", ["1", "8"])
-    def test_batch_size_same_outcome(self, program_file, batch_size, capsys):
-        assert main(
-            ["run", program_file, "--batch-size", batch_size]
-        ) == 0
-        assert "3 cycles" in capsys.readouterr().out
-
-    def test_invalid_batch_size_rejected(self, program_file, capsys):
-        assert main(["run", program_file, "--batch-size", "0"]) == 1
-        assert "batch_size" in capsys.readouterr().err
-
-    def test_batch_size_recorded_in_manifest(self, program_file, tmp_path,
-                                             capsys, monkeypatch):
-        import json
-        import os
-
-        monkeypatch.chdir(tmp_path)
-        assert main(
-            ["run", program_file, "--quiet", "--batch-size", "4",
-             "--manifest", str(tmp_path / "runs")]
-        ) == 0
-        out = capsys.readouterr().out
-        manifest_path = out.split("manifest:")[1].strip()
-        assert os.path.exists(manifest_path)
-        payload = json.loads(open(manifest_path).read())
-        assert payload["config"]["batch_size"] == 4
-
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent.ops"]) == 2
         assert "error" in capsys.readouterr().err
@@ -117,11 +90,8 @@ class TestRunArtifacts:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["config"]["strategy"] == "patterns"
         assert manifest["program"]["path"] == program_file
-        assert manifest["result"] == {
-            "cycles": 3,
-            "status": "quiescent",
-            "resolved_batch_size": 1,
-        }
+        assert manifest["result"] == {"cycles": 3, "status": "quiescent"}
+        assert "batch_size" not in manifest["config"]
         assert (run_dir / "metrics.json").exists()
 
 
@@ -160,8 +130,7 @@ class TestCheck:
         )
         assert main(["check", str(bad)]) == 1
 
-    FAST = ["check", "--budget", "1", "--backends", "memory",
-            "--batch-sizes", "1"]
+    FAST = ["check", "--budget", "1", "--backends", "memory"]
 
     @pytest.mark.parametrize("flags, named", [
         (["--crash", "--strategies", "rete"], "--strategies"),
@@ -323,8 +292,7 @@ class TestTopCommand:
     def make_trace(self, program_file, tmp_path):
         trace = tmp_path / "trace.jsonl"
         assert main(["run", program_file, "--strategy", "rete",
-                     "--batch-size", "8", "--trace-out", str(trace),
-                     "--quiet"]) == 0
+                     "--trace-out", str(trace), "--quiet"]) == 0
         return trace
 
     def test_static_dashboard(self, program_file, tmp_path, capsys):
@@ -335,7 +303,6 @@ class TestTopCommand:
         assert "repro top" in out
         assert "cycles 3" in out
         assert "p99" in out
-        assert "hottest join nodes" in out
 
     def test_follow_mode_bounded_by_frames(self, program_file, tmp_path,
                                            capsys):
