@@ -6,11 +6,11 @@ executing a selectivity-ordered, CORGI-bounded :class:`JoinPlan` against
 the LEFT/RIGHT memories' persistent hash indexes (one bucket lookup per
 probe, residual tests evaluated only inside that bucket), and each alpha
 predicate becomes one ``compile()``-generated test.  The interpreted AST
-walk stays the bit-for-bit reference.
+walk (:mod:`repro.check.reference`) stays the bit-for-bit reference.
 
 This bench drives the A5 churn workload (inserts and deletes) through the
-Rete strategies with compilation off and on, and asserts the acceptance
-properties:
+Rete strategies on the interpreted reference and on the compiled
+production path, and asserts the acceptance properties:
 
 * batched compiled propagation performs **at least 2x fewer
   interpreter-dispatch operations** (the ``comparisons`` counter: one per
@@ -49,20 +49,18 @@ def workload():
     return generated.program, events
 
 
-def _drive(program, events, strategy_name, batch_size, compile_mode):
-    wm, strategy = build_system(
-        program, strategy_name, compile_mode=compile_mode
-    )
+def _drive(program, events, strategy_name, batch_size, reference):
+    wm, strategy = build_system(program, strategy_name, reference=reference)
     drive_stream(wm, events, batch_size=batch_size)
     return strategy
 
 
-@pytest.mark.parametrize("compile_mode", ["off", "on"])
+@pytest.mark.parametrize("reference", [True, False])
 @pytest.mark.parametrize("strategy_name", RETE_FAMILY)
-def test_match_time(benchmark, workload, strategy_name, compile_mode):
+def test_match_time(benchmark, workload, strategy_name, reference):
     program, events = workload
     benchmark(
-        lambda: _drive(program, events, strategy_name, 64, compile_mode)
+        lambda: _drive(program, events, strategy_name, 64, reference)
     )
 
 
@@ -120,13 +118,14 @@ class TestA7Shape:
                 small, large,
             )
             # ... while the interpreted Rete scan pays for every resident
-            # row (the COND shape directory is not a compile-mode feature).
+            # row (the COND shape directory is not a compiled feature).
             if strategy in RETE_FAMILY:
                 assert large["interp_cmp"] > 4 * small["interp_cmp"]
 
     def test_uncompiled_reference_rows_are_untouched(self, rows):
-        """The patterns strategy never compiles: its counters must be
-        byte-identical between the two runs of each pairing."""
+        """The patterns strategy compiles only its constant checks, which
+        count nothing: its counters must be byte-identical between the
+        two runs of each pairing."""
         reference = [r for r in rows if r["strategy"] == "patterns"]
         for row in reference:
             assert row["interp_cmp"] == row["compiled_cmp"], row

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.check.reference import interpreted
 from repro.engine.wm import WorkingMemory
 from repro.instrument import Counters, SpaceReport
 from repro.lang.analysis import RuleAnalysis, analyze_program
@@ -58,14 +59,21 @@ def build_system(
     strategy_name: str,
     backend: str = "memory",
     obs: Observability | None = None,
-    compile_mode: str = "off",
+    reference: bool = True,
 ) -> tuple[WorkingMemory, MatchStrategy]:
-    """A fresh WM plus one attached strategy with its own counters."""
+    """A fresh WM plus one attached strategy with its own counters.
+
+    With *reference* (the default) the strategy runs the interpreted scan
+    of :mod:`repro.check.reference`, whose operation counts are the ones
+    the paper's tables report; ``reference=False`` runs the production
+    (compiled) match path.
+    """
     program, analyses = resolve_program(source)
     wm = WorkingMemory(program.schemas, backend=backend, obs=obs)
-    strategy = STRATEGIES[strategy_name](
-        wm, analyses, counters=Counters(), compile_mode=compile_mode
-    )
+    strategy_cls = STRATEGIES[strategy_name]
+    if reference:
+        strategy_cls = interpreted(strategy_cls)
+    strategy = strategy_cls(wm, analyses, counters=Counters())
     return wm, strategy
 
 
@@ -147,7 +155,7 @@ def run_stream(
     backend: str = "memory",
     obs: Observability | None = None,
     batch_size: int = 1,
-    compile_mode: str = "off",
+    reference: bool = True,
 ) -> StrategyRun:
     """Drive *events* through one strategy, measuring time and counters.
 
@@ -155,8 +163,7 @@ def run_stream(
     absorbed operation counters) is attached as ``StrategyRun.metrics``.
     """
     wm, strategy = build_system(
-        source, strategy_name, backend=backend, obs=obs,
-        compile_mode=compile_mode,
+        source, strategy_name, backend=backend, obs=obs, reference=reference
     )
     start = time.perf_counter()
     count, _live = drive_stream(wm, events, batch_size=batch_size)

@@ -581,10 +581,11 @@ def report_a7(
 ) -> Report:
     """Per-rule compiled kernels against the interpreted AST walk.
 
-    The A5 churn workload is driven through each strategy twice — compile
-    off (the interpreted reference scan) and compile on (generated alpha
-    tests plus join kernels probing the memories' persistent hash
-    indexes).  ``comparisons`` counts interpreter-dispatch operations:
+    The A5 churn workload is driven through each strategy twice — on the
+    interpreted reference scan (:mod:`repro.check.reference`) and on the
+    production path (generated alpha tests plus join kernels probing the
+    memories' persistent hash indexes).  ``comparisons`` counts
+    interpreter-dispatch operations:
     one per predicate/test evaluation interpreted, one per in-bucket
     residual compiled; ``probes/event`` is the compiled run's
     ``comparisons + index_lookups`` per event.  Conflict sets are
@@ -597,7 +598,7 @@ def report_a7(
     probe's does not — ``probes/event`` stays flat as the inventory grows
     fourfold (gated by ``tools/bench_smoke.py``).  That holds for the
     Rete memories' join indexes and for the matching patterns' COND shape
-    directories alike (the latter are not a compile-mode feature, so a
+    directories alike (the latter are not a compiled feature, so a
     ``patterns`` row probes the same in both columns).
     """
     from repro.obs import Observability
@@ -613,37 +614,32 @@ def report_a7(
     rows: list[dict] = []
     for strategy_name in strategies:
         for source, events, batch_size, inventory in workloads:
-            runs = {}
-            for mode in ("off", "on"):
-                obs = Observability(collect_metrics=True)
-                runs[mode] = run_stream(
+            reference, compiled = (
+                run_stream(
                     source,
                     events,
                     strategy_name,
-                    obs=obs,
+                    obs=Observability(collect_metrics=True),
                     batch_size=batch_size,
-                    compile_mode=mode,
+                    reference=is_reference,
                 )
-            reference, compiled = runs["off"], runs["on"]
+                for is_reference in (True, False)
+            )
             assert compiled.conflict_size == reference.conflict_size
-            comparisons = {
-                mode: run.counters["comparisons"]
-                for mode, run in runs.items()
-            }
+            interp_cmp = reference.counters["comparisons"]
+            compiled_cmp = compiled.counters["comparisons"]
             rows.append(
                 {
                     "strategy": strategy_name,
                     "batch": batch_size,
                     "inventory": inventory,
-                    "interp_cmp": comparisons["off"],
-                    "compiled_cmp": comparisons["on"],
+                    "interp_cmp": interp_cmp,
+                    "compiled_cmp": compiled_cmp,
                     "cmp_ratio": (
-                        comparisons["off"] / comparisons["on"]
-                        if comparisons["on"]
-                        else 0.0
+                        interp_cmp / compiled_cmp if compiled_cmp else 0.0
                     ),
                     "probes/event": (
-                        comparisons["on"] + compiled.counters["index_lookups"]
+                        compiled_cmp + compiled.counters["index_lookups"]
                     ) / len(events),
                     "interp_ms": reference.wall_seconds * 1000,
                     "compiled_ms": compiled.wall_seconds * 1000,

@@ -13,10 +13,12 @@ oracle:
   profiles (negation, disjunction, modify-heavy, churn, pool-sharing,
   mid-run reattach).
 * :mod:`repro.check.oracle` — replays one trace through every
-  (strategy × backend × compile-mode) configuration, plus one per-op
-  reference cell, and compares conflict
-  sets, fired-rule sequences, final WM contents and (within the Rete
-  family) memory-node snapshots at shared sync points.
+  (strategy × backend) configuration, plus one per-op reference cell,
+  and compares conflict sets, fired-rule sequences, final WM contents
+  and (within the Rete family) memory-node snapshots at shared sync
+  points.
+* :mod:`repro.check.reference` — the interpreted scan the compiled
+  match path replaced, kept as the per-op cell's reference.
 * :mod:`repro.check.shrinker` — ddmin over ops plus greedy rule pruning,
   minimizing a failing trace to the smallest repro.
 * :mod:`repro.check.corpus` — promotes shrunk repros into

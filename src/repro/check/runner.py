@@ -95,7 +95,6 @@ def run_check(
     obs: Observability | None = None,
     shrink_failures: bool = True,
     resolutions: tuple[str, ...] | None = None,
-    compile_modes: tuple[str, ...] | None = None,
     exec_modes: tuple[str, ...] | None = None,
 ) -> CheckReport:
     """Run a fuzz campaign of *budget* traces; returns the report.
@@ -105,8 +104,6 @@ def run_check(
     *program* pins the rule base (only op scripts are fuzzed).
     *resolutions* rotates conflict-resolution strategies across traces
     (each trace records the one it used, so repros stay self-contained).
-    *compile_modes* restricts the match-compilation axis (the default
-    matrix pairs every compiled-family cell with a compile="on" twin).
     *exec_modes* adds §5.2 concurrent-scheduler cells, compared against
     their own mode's reference.
     """
@@ -114,8 +111,6 @@ def run_check(
     matrix_kwargs = {}
     if backends is not None:
         matrix_kwargs["backends"] = tuple(backends)
-    if compile_modes is not None:
-        matrix_kwargs["compile_modes"] = tuple(compile_modes)
     if exec_modes is not None:
         matrix_kwargs["exec_modes"] = tuple(exec_modes)
     configs = default_matrix(strategies, **matrix_kwargs)

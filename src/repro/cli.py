@@ -3,7 +3,7 @@
     python -m repro.cli run program.ops [--strategy patterns]
                                         [--resolution lex] [--max-cycles N]
                                         [--backend memory] [--quiet]
-                                        [--lineage] [--compile on|off|auto]
+                                        [--lineage]
                                         [--trace-out t.jsonl] [--otel]
                                         [--trace-rotate-bytes N]
                                         [--trace-keep K]
@@ -15,7 +15,7 @@
     python -m repro.cli stats program.ops [--flamegraph [OUT]]
     python -m repro.cli check program.ops
     python -m repro.cli check --budget N [--resolutions lex,mea]
-                                        [--compile-modes off,on] [--crash]
+                                        [--exec-modes cycle,txn] [--crash]
     python -m repro.cli format program.ops
     python -m repro.cli explain program.ops [RULE ...] [--why-not]
                                         [--instantiation N] [--wal f.wal]
@@ -132,7 +132,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         obs=obs,
         lineage=args.lineage,
-        compile=args.compile,
     )
     if args.wal:
         from repro.recovery import DurableRun
@@ -146,7 +145,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "resolution": args.resolution,
                 "backend": args.backend,
                 "seed": args.seed,
-                "compile": args.compile,
             },
             fsync_every=args.fsync_every,
             checkpoint_path=_checkpoint_path(args),
@@ -184,7 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             resolution=args.resolution,
             backend=args.backend,
-            compile=args.compile,
             seed=args.seed,
             command=list(sys.argv[1:]) or ["run", args.file],
             git_sha=git_sha(),
@@ -368,17 +365,12 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     strategies = _csv_choice("--strategies", args.strategies, STRATEGIES)
     backends = _csv(args.backends) if args.backends else None
     resolutions = _csv_choice("--resolutions", args.resolutions, RESOLUTIONS)
-    compile_modes = _csv_choice(
-        "--compile-modes", args.compile_modes, ("off", "on", "auto")
-    )
     exec_modes = _csv_choice("--exec-modes", args.exec_modes, EXEC_MODES)
     if args.crash:
         if strategies is not None:
             raise _UsageError(
                 f"--strategies: --crash runs only {DEFAULT_CRASH_STRATEGY}"
             )
-        if compile_modes is not None:
-            raise _UsageError("--compile-modes: --crash runs only auto")
     elif args.replica:
         raise _UsageError("--replica: only applies with --crash")
     obs = Observability()
@@ -399,7 +391,6 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
         save_repro_dir=args.save_repro,
         obs=obs,
         resolutions=resolutions,
-        compile_modes=compile_modes,
         exec_modes=exec_modes,
     )
     if args.metrics_out:
@@ -748,15 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fsync the WAL every N buffered records (boundaries always "
         "sync; default: 64)",
     )
-    run.add_argument(
-        "--compile",
-        default="auto",
-        choices=["off", "on", "auto"],
-        help="match compilation: lower alpha tests and join predicates "
-        "into specialized kernels at network-build time ('auto', the "
-        "default, falls back to the interpreted path per node on any "
-        "lowering failure; both modes are bit-for-bit equivalent)",
-    )
     run.add_argument("--quiet", action="store_true")
     run.add_argument(
         "--lineage",
@@ -895,13 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         "across generated traces (default: lex)",
     )
     check.add_argument(
-        "--compile-modes",
-        metavar="A,B",
-        help="comma-separated match-compilation modes; the default matrix "
-        "pairs every compiled-family cell with a compile='on' twin "
-        "(default: off,on)",
-    )
-    check.add_argument(
         "--exec-modes",
         metavar="A,B,...",
         help="comma-separated execution modes rotated across cells: "
@@ -915,8 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the crash-recovery equivalence campaign instead: each "
         "trace runs under a WAL, is killed at a random armed crash site, "
         "recovered, finished, and compared to its uninterrupted reference "
-        "(always strategy rete at compile auto: --strategies and "
-        "--compile-modes are refused)",
+        "(always strategy rete: --strategies is refused)",
     )
     check.add_argument(
         "--replica",

@@ -161,18 +161,8 @@ class ProductionSystem:
         path: str | None = None,
         obs: Observability | None = None,
         lineage: bool = False,
-        compile: str = "auto",
         analyses: dict[str, RuleAnalysis] | None = None,
     ) -> None:
-        if compile not in ("off", "on", "auto"):
-            raise ExecutionError(
-                f"unknown compile mode {compile!r}; use 'on', 'off' or 'auto'"
-            )
-        #: Match-compilation mode (:mod:`repro.match.compile`).  ``"auto"``
-        #: compiles kernels where possible and falls back per node;
-        #: ``"off"`` is the interpreted reference the parity suites pin
-        #: compiled runs against.
-        self.compile_mode = compile
         program = self._resolve_program(source, rules, schemas)
         self.program = program
         #: Rule analyses are pure functions of the program text, so
@@ -196,10 +186,7 @@ class ProductionSystem:
             STRATEGIES[strategy] if isinstance(strategy, str) else strategy
         )
         self.strategy: MatchStrategy = strategy_cls(
-            self.wm,
-            self.analyses,
-            counters=self.counters,
-            compile_mode=self.compile_mode,
+            self.wm, self.analyses, counters=self.counters
         )
         self.resolver: Resolver = (
             make_resolver(resolution, seed)

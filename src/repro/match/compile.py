@@ -1,9 +1,9 @@
 """Attach-time rule compilation: join plans and specialized kernels.
 
-The interpreted match stack evaluates alpha tests by walking predicate
-AST closures (:func:`repro.storage.predicate.compile_predicate`) and join
-tests by dispatching :class:`~repro.match.rete.runtime.JoinTest` records
-per candidate pair.  This module lowers both at *attach* time:
+Every network is compiled: this module lowers alpha tests and join tests
+at *attach* time, instead of walking predicate AST closures
+(:func:`repro.storage.predicate.compile_predicate`) and dispatching
+:class:`~repro.match.rete.runtime.JoinTest` records per candidate pair:
 
 * :func:`compile_alpha_test` fuses a whole constant-test conjunction into
   one ``compile()``-generated code object over the row tuple — positions
@@ -21,12 +21,13 @@ per candidate pair.  This module lowers both at *attach* time:
   tests inside that bucket — O(bucket) instead of the O(opposing memory)
   interpreted scan.  Pair order is bit-identical to the interpreted
   nested loop (token-major on LEFT activations, element-major on RIGHT;
-  buckets preserve memory insertion order), which is what keeps compiled
-  and interpreted modes snapshot-equal.
+  buckets preserve memory insertion order), which is what keeps the
+  compiled network snapshot-equal to the interpreted scan.
 
-Interpreted mode stays the reference: a network built with
-``compile_mode="off"`` never touches this module, and ``"auto"`` falls
-back per node when a kernel cannot be built.
+A rule that cannot be lowered is refused at attach time with a
+:class:`CompileError` naming the rule and the node.  The interpreted scan
+survives only as the differential oracle's reference
+(:mod:`repro.check.reference`).
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ from repro.storage.predicate import (
 )
 from repro.storage.schema import RelationSchema
 
-#: Recognized ``--compile`` modes.
-COMPILE_MODES = ("off", "on", "auto")
-
 #: The CORGI-style envelope: no per-probe plan may cost more than
 #: O(T × R) — the interpreted nested scan.  Hash-keyed plans are linear.
 MAX_COST_EXPONENT = 2
@@ -65,7 +63,7 @@ class PlanBoundError(Exception):
 
 
 class CompileError(Exception):
-    """A rule could not be lowered to a kernel (``--compile on`` only)."""
+    """A rule could not be lowered to a kernel; names the rule and node."""
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +339,7 @@ def compile_alpha_test(
 
 
 def compile_condition_checks(
-    analyses: dict, schemas: dict[str, RelationSchema], mode: str = "auto"
+    analyses: dict, schemas: dict[str, RelationSchema]
 ) -> dict[int, Callable[[tuple], bool]]:
     """Compiled constant-predicate checkers for every rule condition.
 
@@ -359,11 +357,10 @@ def compile_condition_checks(
                     condition.constant_predicate, schema
                 )
             except Exception as error:
-                if mode == "on":
-                    raise CompileError(
-                        f"rule {analysis.name!r} condition "
-                        f"{condition.index}: {error}"
-                    ) from error
+                raise CompileError(
+                    f"rule {analysis.name!r} condition "
+                    f"{condition.index}: {error}"
+                ) from error
     return checks
 
 
@@ -372,50 +369,40 @@ def compile_condition_checks(
 # ---------------------------------------------------------------------------
 
 
-def attach_network_kernels(network, mode: str = "auto") -> dict:
+def attach_network_kernels(network) -> dict:
     """Compile alpha tests and two-input kernels onto a built network.
 
-    Returns (and stores as ``network.compile_summary``) a summary dict:
-    ``mode`` is the resolved mode (``"on"`` once anything compiled),
-    ``kernels``/``alpha`` count compiled nodes, ``ns`` the attach-time
-    compilation cost (the ``rete.kernel_ns`` metric).  Under ``"auto"``
-    a node that fails to compile silently keeps its interpreted path;
-    under ``"on"`` the failure raises :class:`CompileError`.
+    A node that cannot be lowered raises :class:`CompileError` naming the
+    first rule whose join chain uses it.  Returns (and stores as
+    ``network.compile_summary``) a summary dict: ``kernels``/``alpha``
+    count compiled nodes, ``ns`` the attach-time compilation cost (the
+    ``rete.kernel_ns`` metric).
     """
-    summary = {"mode": "off", "kernels": 0, "alpha": 0, "ns": 0}
+    owner: dict[int, str] = {}
+    for rule, chain in network.rule_chains.items():
+        for _, amem, node in chain:
+            owner.setdefault(id(amem), rule)
+            owner.setdefault(id(node), rule)
+    summary = {"kernels": 0, "alpha": 0, "ns": 0}
     network.compile_summary = summary
-    if mode == "off":
-        return summary
-    if mode not in COMPILE_MODES:
-        raise ValueError(f"unknown compile mode {mode!r}")
     started = time.perf_counter_ns()
     for amem in network.alpha_memories:
-        predicate = getattr(amem, "predicate", None)
-        schema = getattr(amem, "schema", None)
-        if predicate is None or schema is None:
-            if mode == "on":
-                raise CompileError(
-                    f"alpha memory {amem.name} carries no predicate AST"
-                )
-            continue
         try:
-            amem.test = compile_alpha_test(predicate, schema)
-            summary["alpha"] += 1
+            amem.test = compile_alpha_test(amem.predicate, amem.schema)
         except Exception as error:
-            if mode == "on":
-                raise CompileError(
-                    f"alpha memory {amem.name}: {error}"
-                ) from error
+            raise CompileError(
+                f"rule {owner[id(amem)]!r} alpha memory {amem.name}: "
+                f"{error}"
+            ) from error
+        summary["alpha"] += 1
     for node in (*network.join_nodes, *network.negative_nodes):
         try:
             plan = plan_join(node.tests, node.bmem.level)
-            node.attach_kernel(
-                JoinKernel(plan, node.bmem, node.amem, node.counters)
-            )
-            summary["kernels"] += 1
         except Exception as error:
-            if mode == "on":
-                raise CompileError(f"node {node.name}: {error}") from error
+            raise CompileError(
+                f"rule {owner[id(node)]!r} node {node.name}: {error}"
+            ) from error
+        node.attach_kernel(JoinKernel(plan, node.bmem, node.amem, node.counters))
+        summary["kernels"] += 1
     summary["ns"] = time.perf_counter_ns() - started
-    summary["mode"] = "on"
     return summary

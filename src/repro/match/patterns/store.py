@@ -216,7 +216,7 @@ class PatternStore:
         self.schema = schema
         self.counters = counters
         # id(condition) -> compiled constant-test checker, installed by the
-        # owning strategy when match compilation is on (repro.match.compile).
+        # owning strategy (repro.match.compile).
         self.checks: dict[int, object] = {}
         self._groups: dict[tuple[str, int], PatternGroup] = {}
 

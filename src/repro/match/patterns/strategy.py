@@ -33,6 +33,7 @@ from repro.instrument import SpaceReport
 from repro.lang.analysis import AnalyzedCondition, RuleAnalysis
 from repro.match.base import MatchStrategy
 from repro.match.common import match_condition, result_to_instantiation
+from repro.match.compile import compile_condition_checks
 from repro.match.patterns.pattern import (
     PatternTuple,
     Restrictions,
@@ -67,17 +68,12 @@ class MatchingPatternsStrategy(MatchStrategy):
             self.analyses, self.wm.schemas, self.counters
         )
         # Compiled constant-test checkers (repro.match.compile), keyed by
-        # condition identity; the interpreted per-call closure build stays
-        # the reference path when compilation is off.
-        self._checks: dict[int, object] = {}
-        if self.compile_mode != "off":
-            from repro.match.compile import compile_condition_checks
-
-            self._checks = compile_condition_checks(
-                self.analyses, self.wm.schemas, self.compile_mode
-            )
-            for store in self.stores.values():
-                store.checks = self._checks
+        # condition identity.
+        self._checks: dict[int, object] = compile_condition_checks(
+            self.analyses, self.wm.schemas
+        )
+        for store in self.stores.values():
+            store.checks = self._checks
         self._by_class: dict[str, list[tuple[RuleAnalysis, AnalyzedCondition]]] = {}
         self._negated_indices: dict[str, frozenset[int]] = {}
         # (rid, condition index) -> propagation edges, in RCE order.
@@ -529,10 +525,7 @@ class MatchingPatternsStrategy(MatchStrategy):
             "serial_ops": self.maintenance_serial_ops,
             "parallel_ops": self.maintenance_parallel_ops,
         }
-        description["compile"] = {
-            "mode": "on" if self._checks else "off",
-            "checks": len(self._checks),
-        }
+        description["compile"] = {"checks": len(self._checks)}
         return description
 
     def space_report(self) -> SpaceReport:

@@ -24,6 +24,7 @@ from repro.engine.conflict import ConflictSet
 from repro.errors import RuleError
 from repro.instrument import Counters
 from repro.lang.analysis import AnalyzedCondition, RuleAnalysis
+from repro.match.compile import attach_network_kernels
 from repro.match.rete.runtime import (
     AlphaMemory,
     BetaMemory,
@@ -39,7 +40,6 @@ from repro.storage.predicate import (
     AttributeComparison,
     Predicate,
     conjunction,
-    compile_predicate,
     reverse_operator,
 )
 from repro.storage.schema import RelationSchema
@@ -62,8 +62,8 @@ class ReteNetwork:
     production_nodes: list[ProductionNode] = field(default_factory=list)
     mirrors: list[MemoryMirror] = field(default_factory=list)
     mirror_catalog: Catalog | None = None
-    #: Attach-time compilation summary (``repro.match.compile``); stays
-    #: ``{"mode": "off", ...}``-shaped or ``None`` for interpreted networks.
+    #: Attach-time compilation summary (``repro.match.compile``): compiled
+    #: kernel and alpha-test counts plus the compile time in ns.
     compile_summary: dict | None = None
     #: Per-rule join chain, recorded at compile time: one
     #: ``(condition, alpha_memory, two_input_node)`` triple per condition
@@ -292,7 +292,7 @@ class ReteNetwork:
                 "stored_tokens": self.stored_tokens(),
                 "stored_cells": self.stored_cells(),
             },
-            "compile": self.compile_summary or {"mode": "off"},
+            "compile": self.compile_summary,
         }
 
     def to_dot(self) -> str:
@@ -458,13 +458,11 @@ class NetworkBuilder:
         counters: Counters | None = None,
         share: bool = False,
         mirror_catalog: Catalog | None = None,
-        compile_mode: str = "off",
     ) -> None:
         self.schemas = schemas
         self.counters = counters or Counters()
         self.share = share
         self.mirror_catalog = mirror_catalog
-        self.compile_mode = compile_mode
         self._mirror_serial = 0
         self._alpha_cache: dict[tuple, AlphaMemory] = {}
         self._join_cache: dict[tuple, JoinNode] = {}
@@ -516,13 +514,13 @@ class NetworkBuilder:
         amem = AlphaMemory(
             name=f"am{len(self.network.alpha_memories)}",
             class_name=condition.class_name,
-            test=compile_predicate(predicate, schema),
+            test=None,
             counters=self.counters,
             mirror=self._mirror("am", 1),
             arity=schema.arity,
         )
         # Stashed for attach-time lowering (``repro.match.compile``): the
-        # kernel compiler regenerates ``test`` from the predicate AST.
+        # kernel compiler generates ``test`` from the predicate AST.
         amem.predicate = predicate
         amem.schema = schema
         self._alpha_cache[key] = amem
@@ -628,13 +626,14 @@ class NetworkBuilder:
         return production
 
     def build(self, analyses: dict[str, RuleAnalysis]) -> ReteNetwork:
-        """Compile every rule and return the finished network."""
+        """Compile every rule, attach its kernels, return the network.
+
+        Raises :class:`repro.match.compile.CompileError`, naming the rule
+        and the node, when a node cannot be lowered.
+        """
         for analysis in analyses.values():
             self.add_rule(analysis)
-        # Deferred import: repro.match.compile imports JoinTest consumers.
-        from repro.match.compile import attach_network_kernels
-
-        attach_network_kernels(self.network, self.compile_mode)
+        attach_network_kernels(self.network)
         return self.network
 
 
@@ -671,7 +670,6 @@ def build_network(
     counters: Counters | None = None,
     share: bool = False,
     mirror_catalog: Catalog | None = None,
-    compile_mode: str = "off",
 ) -> ReteNetwork:
     """Convenience wrapper: build a network for *analyses* in one call."""
     builder = NetworkBuilder(
@@ -679,6 +677,5 @@ def build_network(
         counters=counters,
         share=share,
         mirror_catalog=mirror_catalog,
-        compile_mode=compile_mode,
     )
     return builder.build(analyses)

@@ -14,7 +14,7 @@ condition elements.
 Memories optionally *mirror* their contents into storage-engine tables —
 the LEFT/RIGHT relations of the paper's §3.2 DBMS implementation — so space
 and I/O accounting flows through the storage counters.  Like relations,
-they are probed through indexes: each equality key a compiled join uses
+they are probed through indexes: each equality key a join kernel uses
 gets a persistent, insertion-ordered hash index on the memory it probes,
 so a join probe costs one bucket rather than a scan of the opposing
 memory (``docs/ALGORITHMS.md`` §10.2).
@@ -37,7 +37,7 @@ the Rete family):
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.engine.conflict import ConflictSet, Instantiation
 from repro.instrument import Counters
@@ -46,7 +46,6 @@ from repro.obs import Observability
 from repro.obs.metrics import SIZE_BUCKETS
 from repro.obs.tracing import NULL_SPAN
 from repro.storage.catalog import Catalog
-from repro.storage.predicate import compare
 from repro.storage.schema import RelationSchema
 from repro.storage.tuples import StoredTuple
 
@@ -244,7 +243,7 @@ class AlphaMemory:
         self,
         name: str,
         class_name: str,
-        test: Callable[[tuple], bool],
+        test: Callable[[tuple], bool] | None,
         counters: Counters,
         mirror: MemoryMirror | None = None,
         arity: int | None = None,
@@ -551,24 +550,6 @@ class BetaMemory:
         return len(self._order)
 
 
-def _run_join_tests(
-    tests: tuple[JoinTest, ...],
-    token: Token,
-    wme: StoredTuple,
-    counters: Counters,
-) -> bool:
-    for test in tests:
-        other = token.ancestor(test.levels_up - 1).wme
-        counters.comparisons += 1
-        if other is None:
-            return False
-        if not compare(
-            test.op, wme.values[test.own_position], other.values[test.other_position]
-        ):
-            return False
-    return True
-
-
 def _probe_span(
     runtime: "ReteRuntime",
     node: "_TwoInputNode",
@@ -580,8 +561,8 @@ def _probe_span(
     """Open the ``rete.batch_join`` span for one opposing-memory probe.
 
     Counts the probe (``rete.join_probes``) and the incoming token-set size
-    (``rete.tokenset_size``), and tags the span with the plan kind when a
-    compiled kernel runs the probe; returns :data:`NULL_SPAN` when
+    (``rete.tokenset_size``), and tags the span with the kernel's plan
+    kind; returns :data:`NULL_SPAN` when
     unobserved so the disabled path stays a single predicate check.
     """
     obs = runtime.obs
@@ -599,8 +580,7 @@ def _probe_span(
         group=group,
         size=size,
     )
-    if node.kernel is not None:
-        span.set("kernel", node.kernel.label)
+    span.set("kernel", node.kernel.label)
     return span
 
 
@@ -615,13 +595,12 @@ class _TwoInputNode:
     """Shared state of join and negative nodes: LEFT beta, RIGHT alpha.
 
     Every activation reaches the opposing memory through two primitives —
-    :meth:`lefts_for` (LEFT tokens joining one element) and
-    :meth:`rights_for` (RIGHT elements joining one token) — which return
-    partners in the opposing memory's insertion order.  The methods here
-    are the interpreted reference scan over ``_run_join_tests``; attaching
-    a compiled :class:`repro.match.compile.JoinKernel` rebinds both, on
-    the node, to the kernel's versions: one bucket lookup in the memory's
-    persistent index plus in-bucket residual tests.
+    ``lefts_for`` (LEFT tokens joining one element) and ``rights_for``
+    (RIGHT elements joining one token) — which return partners in the
+    opposing memory's insertion order.  Both are bound, on the node, by
+    :meth:`attach_kernel` to the node's compiled
+    :class:`repro.match.compile.JoinKernel`: one bucket lookup in the
+    memory's persistent index plus in-bucket residual tests.
     """
 
     def __init__(
@@ -641,9 +620,8 @@ class _TwoInputNode:
         bmem.children.append(self)
         amem.successors.append(self)
         self.runtime: ReteRuntime | None = None
-        #: Compiled join kernel + plan (``repro.match.compile``); ``None``
-        #: keeps the interpreted ``_run_join_tests`` reference scan.  Set
-        #: through :meth:`attach_kernel`.
+        #: Join kernel + plan, set through :meth:`attach_kernel` when the
+        #: network is built (``repro.match.compile``).
         self.kernel = None
         self.plan = None
         #: Lifetime opposing-memory probes / largest token set seen — plain
@@ -657,24 +635,6 @@ class _TwoInputNode:
         self.plan = kernel.plan
         self.lefts_for = kernel.lefts_for
         self.rights_for = kernel.rights_for
-
-    def lefts_for(self, wme: StoredTuple) -> list[Token]:
-        """LEFT tokens joining *wme*, in LEFT-memory insertion order."""
-        tests, counters = self.tests, self.counters
-        return [
-            token
-            for token in self.bmem.tokens()
-            if _run_join_tests(tests, token, wme, counters)
-        ]
-
-    def rights_for(self, token: Token) -> list[StoredTuple]:
-        """RIGHT elements joining *token*, in RIGHT-memory insertion order."""
-        tests, counters = self.tests, self.counters
-        return [
-            wme
-            for wme in self.amem.wmes()
-            if _run_join_tests(tests, token, wme, counters)
-        ]
 
     def _activated(self, group_size: int = 1) -> None:
         self.counters.node_activations += 1

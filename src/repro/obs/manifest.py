@@ -83,7 +83,6 @@ class RunManifest:
     strategy: str = ""
     resolution: str = ""
     backend: str = ""
-    compile: str = "auto"
     seed: int = 0
     command: list[str] = field(default_factory=list)
     git_sha: str | None = None
@@ -110,7 +109,6 @@ class RunManifest:
                 "strategy": self.strategy,
                 "resolution": self.resolution,
                 "backend": self.backend,
-                "compile": self.compile,
                 "seed": self.seed,
             },
             "command": self.command,

@@ -101,7 +101,7 @@ class DurableRun:
 
         *config* is the run configuration recovery needs to rebuild an
         identical system: ``strategy``, ``resolution``, ``backend`` and
-        ``seed`` (plus ``compile``, if set).  The system's current WM
+        ``seed``.  The system's current WM
         (its initial elements were inserted before any log existed) is
         logged as the first batch record, so recovery replays it like any
         other committed batch.  *wal_rotate_bytes* > 0 turns on segment

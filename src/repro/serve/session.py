@@ -25,11 +25,11 @@ import time
 
 from repro.engine.interpreter import ProductionSystem
 from repro.errors import ReproError
-from repro.lang.ast import Program
 from repro.recovery import DurableRun, recover
 from repro.serve.registry import RulePack
 
-#: Run configuration a fresh tenant gets unless attach overrides it.
+#: Run configuration a fresh tenant gets unless attach overrides it; an
+#: attach request's ``config`` may override exactly these keys.
 DEFAULT_CONFIG = {
     "strategy": "rete",
     "resolution": "lex",
@@ -37,14 +37,12 @@ DEFAULT_CONFIG = {
     "seed": 0,
 }
 
-#: Keys an attach request's ``config`` may override.
-CONFIG_KEYS = tuple(DEFAULT_CONFIG) + ("compile",)
-
-#: Keys older clients may still send: the one value that names what a
-#: tenant does today (accepted and dropped), and why any other is refused.
+#: Keys older clients may still send: the values that name what a tenant
+#: does today (accepted and dropped), and why any other is refused.
 RETIRED_KEYS = {
-    "firing": ("instance", "tenants fire one instantiation per cycle"),
-    "batch_size": (1, "the act phase propagates each change as it happens"),
+    "firing": (("instance",), "tenants fire one instantiation per cycle"),
+    "batch_size": ((1,), "the act phase propagates each change as it happens"),
+    "compile": (("auto", "on"), "tenants always run compiled match kernels"),
 }
 
 #: Rotate tenant logs at this segment size unless configured otherwise.
@@ -122,9 +120,12 @@ class TenantSession:
             # its accepted value; any other value of a retired key is not.
             if key in RETIRED_KEYS:
                 accepted, reason = RETIRED_KEYS[key]
-                if value != accepted:
+                # Type-strict: ``true`` and ``1.0`` do not name ``1``.
+                if not any(
+                    type(value) is type(ok) and value == ok for ok in accepted
+                ):
                     raise ReproError(f"unsupported {key} {value!r}: {reason}")
-            elif key in CONFIG_KEYS:
+            elif key in DEFAULT_CONFIG:
                 cfg[key] = value
         system = ProductionSystem(
             pack.program,

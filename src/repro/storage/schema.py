@@ -21,11 +21,18 @@ _ALLOWED_TYPES = (int, float, str, type(None))
 
 
 def check_value(value: object) -> Value:
-    """Validate that *value* is a legal attribute value and return it."""
+    """Validate that *value* is a legal attribute value and return it.
+
+    NaN is refused: it equals nothing, not even itself, so a hash probe
+    (which matches the same NaN object by identity) and ``compare("=")``
+    would disagree about whether it joins.
+    """
     if isinstance(value, bool) or not isinstance(value, _ALLOWED_TYPES):
         raise SchemaError(
             f"attribute values must be int/float/str/None, got {value!r}"
         )
+    if value != value:
+        raise SchemaError("attribute values must not be NaN")
     return value
 
 

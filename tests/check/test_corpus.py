@@ -4,7 +4,7 @@ Every file under ``tests/corpus/`` is a :class:`repro.check.Trace` —
 either a seed entry pinning cross-strategy parity for one trace profile,
 or a shrunk repro promoted by ``repro check --save-repro`` after a real
 divergence.  Each is replayed here across the **full**
-strategy × backend × compile-mode matrix plus the per-op reference cell,
+strategy × backend matrix plus the interpreted per-op reference cell,
 with ops chunked by the entry's ``batch`` (8 when the file predates the
 field); a failure means a previously
 fixed bug is back (the file's ``reason`` field says what it guarded).

@@ -9,7 +9,7 @@ from repro.obs import Observability, RingBufferSink
 
 from tests.check.test_oracle import BrokenStrategy
 
-FAST = dict(backends=("memory",), compile_modes=("off",))
+FAST = dict(backends=("memory",))
 
 
 class TestCleanRun:
@@ -22,13 +22,6 @@ class TestCleanRun:
         assert report.failures == []
         assert "2/2 traces" in report.summary()
         assert "OK" in report.summary()
-
-    def test_compiled_twins_join_by_default(self):
-        report = run_check(budget=1, seed=0, strategies=["rete", "patterns"],
-                           backends=("memory",))
-        assert report.ok
-        # the per-op reference, each strategy and its compiled twin
-        assert report.configs == 5
 
     def test_spans_and_metrics(self):
         sink = RingBufferSink()

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import ProductionSystem
 from repro.engine import WorkingMemory
+from repro.errors import SchemaError
 from repro.instrument import Counters
 from repro.lang import analyze_program, parse_program
 from repro.match import STRATEGIES
@@ -209,3 +211,46 @@ def test_rete_has_no_false_drops_but_markers_do():
     assert by_name["markers"].counters.false_drops > 0
     assert by_name["rete"].counters.false_drops == 0
     assert_all_agree(strategies)
+
+
+#: A value that equals nothing, itself included, used to join with itself
+#: under the compiled Rete kernels (a hash bucket matches the same NaN
+#: object by identity) while every scan-based strategy refused the pair.
+NAN_PROGRAM = """
+(literalize a x)
+(literalize b x)
+(literalize hit n)
+(p copy (a ^x <v>) --> (make b ^x <v>))
+(p pair (a ^x <v>) (b ^x <v>) --> (make hit ^n 1))
+"""
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_nan_is_refused_before_any_strategy_sees_it(strategy):
+    """Every strategy fires the same rules on the NaN program: the NaN
+    insert is refused, and an ordinary value fires ``copy`` then
+    ``pair``."""
+    system = ProductionSystem(NAN_PROGRAM, strategy=strategy)
+    with pytest.raises(SchemaError, match="NaN"):
+        system.insert("a", {"x": float("nan")})
+    assert system.run().fired_rule_names == []
+    system.insert("a", {"x": 1.5})
+    assert system.run().fired_rule_names == ["copy", "pair"]
+    assert len(list(system.wm.tuples("hit"))) == 1
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_nan_made_by_compute_is_refused_by_every_strategy(strategy):
+    """``(compute <v> - <v>)`` over an infinity makes a NaN; the RHS
+    ``make`` refuses it under every strategy alike."""
+    system = ProductionSystem(
+        NAN_PROGRAM.replace(
+            "(make b ^x <v>)", "(make b ^x (compute <v> - <v>))"
+        ),
+        strategy=strategy,
+    )
+    system.insert("a", {"x": float("inf")})
+    with pytest.raises(SchemaError, match="NaN"):
+        system.run()
+    assert not list(system.wm.tuples("b"))
+    assert not list(system.wm.tuples("hit"))

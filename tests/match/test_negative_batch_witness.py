@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.drivers import drive_stream
 from repro.check.oracle import rete_memory_snapshot
+from repro.check.reference import interpreted
 from repro.engine import WorkingMemory
 from repro.instrument import Counters
 from repro.lang import analyze_program, parse_program
@@ -70,16 +71,15 @@ def witness_events():
     return events
 
 
-def build(batch_size, backend="memory", compile_mode="off"):
+def build(batch_size, backend="memory", reference=False):
+    """Every strategy on one WM; *reference* runs the interpreted scan."""
     program = parse_program(RULES)
     analyses = analyze_program(program.rules, program.schemas)
     wm = WorkingMemory(program.schemas, backend=backend)
-    strategies = {
-        name: STRATEGIES[name](
-            wm, analyses, counters=Counters(), compile_mode=compile_mode
-        )
-        for name in STRATEGY_NAMES
-    }
+    strategies = {}
+    for name in STRATEGY_NAMES:
+        cls = interpreted(STRATEGIES[name]) if reference else STRATEGIES[name]
+        strategies[name] = cls(wm, analyses, counters=Counters())
     drive_stream(wm, witness_events(), batch_size=batch_size)
     return strategies
 
@@ -117,10 +117,10 @@ class TestNegativeWitnessBatching:
         probes of the persistent memory indexes) must reach the exact
         witness sets and result tokens the interpreted scan does, at
         every batch size."""
-        interpreted = build(batch_size)
-        compiled = build(batch_size, compile_mode="on")
+        reference = build(batch_size, reference=True)
+        compiled = build(batch_size)
         for name in RETE_FAMILY:
-            ref = rete_memory_snapshot(interpreted[name])
+            ref = rete_memory_snapshot(reference[name])
             cand = rete_memory_snapshot(compiled[name])
             assert cand["negative"] == ref["negative"], (
                 f"{name}/batch={batch_size}: compiled witness state diverged"
@@ -130,7 +130,7 @@ class TestNegativeWitnessBatching:
             )
             assert (
                 compiled[name].conflict_set_keys()
-                == interpreted[name].conflict_set_keys()
+                == reference[name].conflict_set_keys()
             ), f"{name}/batch={batch_size}: compiled conflict set diverged"
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])

@@ -85,3 +85,15 @@ class TestCheckValue:
     def test_rejects_non_scalars(self, value):
         with pytest.raises(SchemaError):
             check_value(value)
+
+    @pytest.mark.parametrize("value", [1e308 * 10, -1e308 * 10])
+    def test_accepts_infinities(self, value):
+        assert check_value(value) == value
+
+    def test_rejects_nan(self):
+        """NaN equals nothing, itself included: a hash probe (identity)
+        and ``compare("=")`` would disagree on whether it joins."""
+        with pytest.raises(SchemaError, match="NaN"):
+            check_value(float("nan"))
+        with pytest.raises(SchemaError, match="NaN"):
+            make_schema().validate_row(("x", 1, float("nan"), 2))

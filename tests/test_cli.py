@@ -134,7 +134,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("flags, named", [
         (["--crash", "--strategies", "rete"], "--strategies"),
-        (["--crash", "--compile-modes", "off"], "--compile-modes"),
+        (["--resolutions", "lex,nope"], "--resolutions"),
         (["--crash", "--exec-modes", "txn,set"], "--exec-modes"),
         (["--crash", "--exec-modes", ","], "--exec-modes"),
         (["--exec-modes", "set"], "--exec-modes"),
@@ -147,6 +147,19 @@ class TestCheck:
         passes silently."""
         assert main([*self.FAST, *flags]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["run", "PROGRAM", "--compile", "off"],
+        ["check", "--budget", "1", "--compile-modes", "off,on"],
+    ])
+    def test_retired_compile_flags_exit_2(self, flags, program_file, capsys):
+        """Match compilation is no longer a choice: the flags that chose
+        it are unknown to the parser, which exits 2 naming them."""
+        argv = [program_file if arg == "PROGRAM" else arg for arg in flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--compile" in capsys.readouterr().err
 
     def test_crash_runs_the_requested_exec_mode(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
