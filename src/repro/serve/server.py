@@ -42,7 +42,7 @@ import os
 import re
 import time
 
-from repro.errors import ReproError
+from repro.errors import RecoveryError, ReproError
 from repro.obs import Observability
 from repro.recovery import recover
 from repro.recovery.wal import GroupCommit
@@ -164,21 +164,28 @@ class RuleServer:
         Each recovered session immediately finishes any interrupted
         recognize-act work (determinism makes the re-execution identical
         to the run that died), and the resulting boundaries are flushed
-        before the server accepts traffic.
+        before the server accepts traffic.  A tenant log that cannot be
+        recovered stops startup with a :class:`RecoveryError` naming the
+        tenant: the server does not serve around a log it cannot replay.
         """
         os.makedirs(self.data_dir, exist_ok=True)
         started = time.perf_counter()
         recovered = []
         for name in scan_tenants(self.data_dir):
-            session = TenantSession.recover_from_disk(
-                name,
-                self.data_dir,
-                self.registry,
-                group=self.group,
-                obs=self.obs,
-                wal_rotate_bytes=self.wal_rotate_bytes,
-                checkpoint_rounds=self.checkpoint_rounds,
-            )
+            try:
+                session = TenantSession.recover_from_disk(
+                    name,
+                    self.data_dir,
+                    self.registry,
+                    group=self.group,
+                    obs=self.obs,
+                    wal_rotate_bytes=self.wal_rotate_bytes,
+                    checkpoint_rounds=self.checkpoint_rounds,
+                )
+            except RecoveryError as error:
+                raise RecoveryError(
+                    f"tenant {name!r} cannot be recovered: {error}"
+                ) from error
             self.registry.add(session)
             session.run_to_quiescence()
             if self.shipper is not None:
