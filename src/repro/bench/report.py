@@ -596,7 +596,7 @@ def report_a7(
     :data:`INVENTORY_PROGRAM` with a resident inventory of that many
     tuples: a scan's cost per event grows with the inventory, an indexed
     probe's does not — ``probes/event`` stays flat as the inventory grows
-    fourfold (gated by ``tools/bench_smoke.py``).  That holds for the
+    fourfold (asserted by ``tests/bench/test_a7_compile.py``).  That holds for the
     Rete memories' join indexes and for the matching patterns' COND shape
     directories alike (the latter are not a compiled feature, so a
     ``patterns`` row probes the same in both columns).
@@ -741,313 +741,6 @@ def report_a6(
 
 
 # ---------------------------------------------------------------------------
-# A9 — multi-tenant serving: throughput, tail latency, crash recovery
-# ---------------------------------------------------------------------------
-
-
-def report_a9(
-    events_per_tenant: int = 150,
-    tenants: int = 2,
-) -> Report:
-    """The serving profile: k8s-auto-fix events through ``repro serve``.
-
-    An in-process :class:`~repro.serve.server.RuleServer` hosts *tenants*
-    sessions sharing one k8s-auto-fix rule pack (docs/SERVING.md).  Each
-    tenant streams its inventory plus *events_per_tenant* cluster events
-    over a real TCP connection, one request per ack, so every latency
-    sample spans parse → apply → recognize-act → group-commit fsync.
-    After the stream the server is *abandoned* — logs dropped without the
-    final sync or checkpoint, the in-process stand-in for ``kill -9`` —
-    and a second server recovers the data directory cold.
-
-    Wall-clock columns (``events/s``, ``p50/p99``, ``recover_ms``) are
-    trajectory-only; the gated columns are deterministic in the seed:
-    ``applied_seq`` (exactly-once high-water mark survives the crash),
-    ``remediations``/``tickets``/``wm`` (the pack's fixed point), and
-    ``events_left``/``shed`` (both must be zero — every event consumed,
-    nothing shed at the nominal one-in-flight rate).
-    """
-    import asyncio
-    import json
-    import tempfile
-
-    from repro.obs import Observability
-    from repro.serve.server import RuleServer
-    from repro.workload.k8s import (
-        K8S_PROGRAM,
-        as_requests,
-        k8s_events,
-        k8s_setup,
-    )
-
-    names = [f"tenant-{i}" for i in range(tenants)]
-    streamed: dict[str, int] = {}
-
-    async def drive(server: RuleServer) -> float:
-        await server.start()
-
-        async def run_tenant(index: int, name: str) -> None:
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
-
-            async def call(body: dict) -> dict:
-                writer.write(json.dumps(body).encode() + b"\n")
-                await writer.drain()
-                return json.loads(await reader.readline())
-
-            reply = await call(
-                {"op": "attach", "tenant": name, "program": K8S_PROGRAM}
-            )
-            assert reply["ok"], reply
-            ops = k8s_setup() + k8s_events(events_per_tenant, seed=index)
-            for request in as_requests(name, ops):
-                reply = await call(request)
-                assert reply.get("durable"), reply
-                streamed[name] = reply["seq"]
-            writer.close()
-            await writer.wait_closed()
-
-        started = time.perf_counter()
-        await asyncio.gather(
-            *(run_tenant(i, name) for i, name in enumerate(names))
-        )
-        elapsed = time.perf_counter() - started
-        # kill -9 stand-in: stop the loop machinery, then drop every log
-        # on the floor — no final sync, no checkpoint, no clean close.
-        server._stopping.set()
-        server._work.set()
-        if server._engine_task is not None:
-            await server._engine_task
-        if server._server is not None:
-            server._server.close()
-            await server._server.wait_closed()
-        for name in server.registry.names():
-            server.registry.get(name).run.abandon()
-        return elapsed
-
-    rows: list[dict] = []
-    with tempfile.TemporaryDirectory() as directory:
-        obs = Observability(collect_metrics=True)
-        server = RuleServer(directory, obs=obs, checkpoint_rounds=16)
-        elapsed = asyncio.run(drive(server))
-        shed = server.admission.shed
-
-        started = time.perf_counter()
-        revived = RuleServer(directory, obs=Observability())
-        recovered = revived.recover_all()
-        recover_ms = (time.perf_counter() - started) * 1000
-        assert recovered == names, (recovered, names)
-
-        total = len(k8s_setup()) + events_per_tenant
-        for name in names:
-            session = revived.registry.get(name)
-            stats = session.stats()
-            assert stats["applied_seq"] == streamed[name] == total
-            latency = obs.metrics.log2_histogram(
-                f"serve.latency_us[{name}]"
-            )
-            rows.append(
-                {
-                    "tenant": name,
-                    "events": events_per_tenant,
-                    "events/s": (
-                        tenants * events_per_tenant / elapsed
-                        if elapsed
-                        else 0.0
-                    ),
-                    "p50_ms": latency.percentile(0.50) / 1000,
-                    "p99_ms": latency.percentile(0.99) / 1000,
-                    "shed": shed,
-                    "applied_seq": stats["applied_seq"],
-                    "events_left": len(session.query("event")),
-                    "remediations": len(session.query("remediation")),
-                    "tickets": len(session.query("ticket")),
-                    "wm": stats["wm_size"],
-                    "recover_ms": recover_ms,
-                }
-            )
-        for name in revived.registry.names():
-            revived.registry.get(name).close()
-    return ("A9  multi-tenant serving (docs/SERVING.md k8s-auto-fix)", rows)
-
-
-# ---------------------------------------------------------------------------
-# A10 — warm-standby replication: steady-state lag, promotion time
-# ---------------------------------------------------------------------------
-
-
-def report_a10(
-    events_per_tenant: int = 120,
-    tenants: int = 2,
-) -> Report:
-    """The replication profile: a primary/standby pair under k8s events.
-
-    An in-process primary :class:`~repro.serve.server.RuleServer` ships
-    every group-commit round to a second in-process server started with
-    ``follow=HOST:PORT`` (docs/REPLICATION.md).  Each tenant streams its
-    inventory plus all but the last of *events_per_tenant* cluster
-    events over real TCP with the standby attached, so every ack spans
-    parse → apply → group-commit fsync → ship → follower ack
-    (semi-synchronous).  The primary is then abandoned mid-flight — the
-    in-process ``kill -9`` stand-in — the standby is promoted over its
-    own client connection, and the held-back final event lands on the
-    promoted server, timing promotion-to-first-ack.
-
-    Wall-clock columns (``events/s``, ``promote_ms``, ``first_ack_ms``)
-    are trajectory-only; the gated columns are deterministic in the
-    seed: ``lag_records`` (zero at steady state — semi-sync acks imply a
-    caught-up standby), ``applied_seq`` (the full acked stream survives
-    the failover), ``events_left``/``remediations``/``tickets``/``wm``
-    (the pack's fixed point on the *promoted* server must equal the
-    never-crashed run's), and ``epoch`` (exactly one promotion: 2).
-    """
-    import asyncio
-    import json
-    import os
-    import tempfile
-
-    from repro.obs import Observability
-    from repro.serve.server import RuleServer
-    from repro.workload.k8s import (
-        K8S_PROGRAM,
-        as_requests,
-        k8s_events,
-        k8s_setup,
-    )
-
-    names = [f"tenant-{i}" for i in range(tenants)]
-    total_ops = len(k8s_setup()) + events_per_tenant
-    results: dict[str, dict] = {}
-    timings: dict[str, float] = {}
-
-    async def connect(server: RuleServer):
-        reader, writer = await asyncio.open_connection(
-            server.host, server.port
-        )
-
-        async def call(body: dict) -> dict:
-            writer.write(json.dumps(body).encode() + b"\n")
-            await writer.drain()
-            return json.loads(await reader.readline())
-
-        return writer, call
-
-    async def kill_in_process(server: RuleServer) -> None:
-        # kill -9 stand-in (the A9 pattern): stop the loop machinery,
-        # then drop every log on the floor — no final sync, no clean
-        # close, no goodbye to the follower.
-        server._stopping.set()
-        server._work.set()
-        if server._engine_task is not None:
-            await server._engine_task
-        if server._server is not None:
-            server._server.close()
-            await server._server.wait_closed()
-        for name in server.registry.names():
-            server.registry.get(name).run.abandon()
-
-    async def drive(directory: str) -> None:
-        primary = RuleServer(
-            os.path.join(directory, "primary"),
-            obs=Observability(collect_metrics=True),
-            checkpoint_rounds=16,
-        )
-        await primary.start()
-        standby = RuleServer(
-            os.path.join(directory, "standby"),
-            obs=Observability(),
-            follow=f"{primary.host}:{primary.port}",
-            takeover_deadline=0.0,  # promotion is explicit, and timed
-        )
-        await standby.start()
-        while primary.shipper.link is None:  # handshake races start()
-            await asyncio.sleep(0.01)
-
-        held_back: dict[str, dict] = {}
-
-        async def run_tenant(index: int, name: str) -> None:
-            writer, call = await connect(primary)
-            reply = await call(
-                {"op": "attach", "tenant": name, "program": K8S_PROGRAM}
-            )
-            assert reply["ok"], reply
-            ops = k8s_setup() + k8s_events(events_per_tenant, seed=index)
-            requests = as_requests(name, ops)
-            held_back[name] = requests.pop()
-            for request in requests:
-                reply = await call(request)
-                assert reply.get("durable"), reply
-            writer.close()
-            await writer.wait_closed()
-
-        started = time.perf_counter()
-        await asyncio.gather(
-            *(run_tenant(i, name) for i, name in enumerate(names))
-        )
-        timings["stream_s"] = time.perf_counter() - started
-
-        # Steady state: semi-sync acks mean the standby trails by zero
-        # records the moment the last client ack lands.
-        writer, call = await connect(standby)
-        status = await call({"op": "status"})
-        lag_records = status["replication"]["lag_records"]
-        assert not primary.shipper.degraded, "replication degraded"
-
-        await kill_in_process(primary)
-
-        started = time.perf_counter()
-        reply = await call({"op": "promote"})
-        timings["promote_ms"] = (time.perf_counter() - started) * 1000
-        assert reply["ok"] and reply["epoch"] >= 2, reply
-        first_ack = None
-        for name in names:
-            acked = await call(held_back[name])
-            assert acked.get("durable"), acked
-            if first_ack is None:
-                first_ack = (time.perf_counter() - started) * 1000
-        timings["first_ack_ms"] = first_ack
-        writer.close()
-        await writer.wait_closed()
-
-        for name in names:
-            session = standby.registry.get(name)
-            stats = session.stats()
-            results[name] = {
-                "lag_records": lag_records,
-                "applied_seq": stats["applied_seq"],
-                "events_left": len(session.query("event")),
-                "remediations": len(session.query("remediation")),
-                "tickets": len(session.query("ticket")),
-                "wm": stats["wm_size"],
-                "epoch": standby.epoch,
-            }
-        await kill_in_process(standby)
-
-    rows: list[dict] = []
-    with tempfile.TemporaryDirectory() as directory:
-        asyncio.run(drive(directory))
-        for name in names:
-            final = results[name]
-            assert final["applied_seq"] == total_ops, (name, final)
-            rows.append(
-                {
-                    "tenant": name,
-                    "events": events_per_tenant,
-                    "events/s": (
-                        tenants * (total_ops - 1) / timings["stream_s"]
-                        if timings["stream_s"]
-                        else 0.0
-                    ),
-                    "promote_ms": timings["promote_ms"],
-                    "first_ack_ms": timings["first_ack_ms"],
-                    **final,
-                }
-            )
-    return ("A10 warm-standby failover (docs/REPLICATION.md)", rows)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -1057,8 +750,6 @@ REPORTS = {
     "a5": report_a5,
     "a6": report_a6,
     "a7": report_a7,
-    "a9": report_a9,
-    "a10": report_a10,
     "e1": report_e1,
     "e2": report_e2,
     "e3": report_e3,

@@ -15,7 +15,7 @@ program, strategy and backend.
 Usage:
 
     python -m repro.obs.gate --baseline tests/baselines/metrics_baseline.json
-    python -m repro.obs.gate --update   # regenerate the baseline in place
+    python -m repro.obs.gate --update   # rewrite it, printing the drift banked
 
 Exit status 0 = pass, 1 = regression (CI fails the build).
 """
@@ -153,9 +153,15 @@ def run_gate(
     **collect_kwargs,
 ) -> tuple[bool, list[Violation], dict]:
     """Collect, compare (or rewrite) the baseline; returns (ok, violations,
-    current values)."""
+    current values).  With *update*, violations is the drift it banks."""
     current = collect_metrics(**collect_kwargs)
     path = Path(baseline_path)
+    violations: list[Violation] = []
+    if path.exists() or not update:
+        payload = json.loads(path.read_text())
+        violations = compare(
+            payload["metrics"], current, payload.get("tolerance", tolerance)
+        )
     if update:
         payload = {
             "program": collect_kwargs.get("program_path", DEFAULT_PROGRAM),
@@ -166,11 +172,7 @@ def run_gate(
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return True, [], current
-    payload = json.loads(path.read_text())
-    violations = compare(
-        payload["metrics"], current, payload.get("tolerance", tolerance)
-    )
+        return True, violations, current
     return not violations, violations, current
 
 
@@ -186,9 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the baseline from the current run",
+        help="rewrite the baseline, printing the drift it banks",
     )
     args = parser.parse_args(argv)
+    if args.update and not Path(args.baseline).exists():
+        print(f"no baseline at {args.baseline}; creating one")
     ok, violations, current = run_gate(
         baseline_path=args.baseline,
         tolerance=args.tolerance,
@@ -198,6 +202,8 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
     )
     if args.update:
+        for violation in violations:
+            print(f"  banking: {violation}")
         print(f"baseline updated: {args.baseline} ({len(current)} metrics)")
         return 0
     if ok:

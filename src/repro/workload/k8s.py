@@ -1,9 +1,10 @@
 """The k8s-auto-fix workload: a production-shaped serving profile.
 
-The serving benchmark (report ``a9``) needs a rule pack that looks like
-a real always-on consumer — not a synthetic chain.  This one is a
-cluster auto-remediator: *events* (crash loops, OOM kills, node
-pressure, failed probes) stream into working memory, and rules diagnose
+The served benchmark (``perf/``'s ``k8s_fleet`` and ``k8s_replicated``
+workloads) needs a rule pack that looks like a real always-on consumer —
+not a synthetic chain.  This one is a cluster auto-remediator: *events*
+(crash loops, OOM kills, node pressure, failed probes) stream into
+working memory, and rules diagnose
 each one against the *pod*/*node* inventory, emit a *remediation*,
 verify it, and escalate repeat offenders to a *ticket*.  Every event is
 consumed by exactly one rule, so a quiescent engine has an empty event

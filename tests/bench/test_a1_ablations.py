@@ -1,4 +1,4 @@
-"""A1–A3 — ablations of the design choices DESIGN.md calls out.
+"""A1–A4 — ablations of the design choices DESIGN.md calls out.
 
 * A1: parallel maintenance (§4.2.3 "our scheme can be fully parallelized")
   — serial vs simulated-parallel maintenance operation counts.
@@ -7,13 +7,13 @@
   preserved.
 * A3: R-tree condition routing in the simplified strategy (§4.1.2) —
   pruning effect as selection-heavy rule bases grow.
+* A4 (deadlock policies): §5 detection vs prevention on a deadlock-prone
+  workload.
 
-Run: pytest benchmarks/bench_a1_ablations.py --benchmark-only
+These ablations have no report table; the tests are their only home.
 """
 
 import random
-
-import pytest
 
 from repro.engine import WorkingMemory
 from repro.instrument import Counters
@@ -70,17 +70,6 @@ class TestA1ParallelMaintenance:
         assert estimate_for(4) > estimate_for(1)
 
 
-def test_a1_maintenance_throughput(benchmark):
-    stream = generate_insert_stream(FANOUT_SPEC, 60)
-
-    def run():
-        wm, _strategy = _patterns_system()
-        for class_name, values in stream:
-            wm.insert(class_name, values)
-
-    benchmark(run)
-
-
 class TestA2Compaction:
     def _loaded_system(self):
         wm, strategy = _patterns_system()
@@ -114,13 +103,6 @@ class TestA2Compaction:
         )
         reference = MatchingPatternsStrategy(wm, analyses, counters=Counters())
         assert strategy.conflict_set_keys() == reference.conflict_set_keys()
-
-
-def test_a2_compaction_cost(benchmark):
-    wm, strategy = _patterns_system()
-    for class_name, values in generate_insert_stream(FANOUT_SPEC, 250):
-        wm.insert(class_name, values)
-    benchmark(lambda: strategy.compact(max_per_condition=4))
 
 
 class TestA4DeadlockPolicies:
@@ -159,22 +141,6 @@ class TestA4DeadlockPolicies:
         assert wound.committed == detect.committed
 
 
-@pytest.mark.parametrize("policy", ["detect", "wound-wait", "wait-die"])
-def test_a4_policy_throughput(benchmark, policy):
-    from repro.engine import ProductionSystem
-    from repro.txn import ConcurrentScheduler
-    from repro.workload import contended_rules_program
-
-    def run():
-        system = ProductionSystem(contended_rules_program(6))
-        system.insert("Shared", {"x": 0})
-        for i in range(6):
-            system.insert(f"T{i}", {"x": i})
-        ConcurrentScheduler(system, policy=policy).run()
-
-    benchmark(run)
-
-
 SELECTION_HEAVY = "\n".join(
     ["(literalize Emp age salary dno)"]
     + [
@@ -195,19 +161,3 @@ class TestA3ConditionRouting:
             wm.insert("Emp", (i % 220, 100, 1))
         assert indexed.counters.comparisons < plain.counters.comparisons
         assert plain.conflict_set_keys() == indexed.conflict_set_keys()
-
-
-@pytest.mark.parametrize("strategy_name", ["simplified", "simplified-indexed"])
-def test_a3_selection_heavy_throughput(benchmark, strategy_name):
-    from repro.match import STRATEGIES
-
-    program = parse_program(SELECTION_HEAVY)
-    analyses = analyze_program(program.rules, program.schemas)
-
-    def run():
-        wm = WorkingMemory(program.schemas)
-        STRATEGIES[strategy_name](wm, analyses, counters=Counters())
-        for i in range(100):
-            wm.insert("Emp", (i % 220, 100, 1))
-
-    benchmark(run)

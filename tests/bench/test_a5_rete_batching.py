@@ -3,9 +3,9 @@
 The Rete family consumes multi-element delta batches as per-class token
 sets: alpha tests filter each set in bulk and every two-input node probes
 its opposing LEFT/RIGHT memory **once per (node, batch group)** instead of
-once per tuple.  This bench drives the same churn stream (inserts and
+once per tuple.  These tests drive the same churn stream (inserts and
 deletes) through the Rete strategies and, for reference, the
-matching-pattern strategy at several batch sizes, and asserts the two
+matching-pattern strategy at several batch sizes, and assert the two
 properties the batched path promises:
 
 * at most one opposing-memory probe per (join node, input side, batch
@@ -13,7 +13,6 @@ properties the batched path promises:
 * conflict sets bit-identical to ``batch_size=1`` across *all* registered
   strategies.
 
-Run: pytest benchmarks/bench_a5_rete_batching.py --benchmark-only
 Table: python -m repro.bench.report a5
 """
 
@@ -22,10 +21,10 @@ from collections import Counter
 import pytest
 
 from repro.bench.drivers import build_system, drive_stream
-from repro.bench.report import report_a5
 from repro.match import STRATEGIES
 from repro.obs import Observability, RingBufferSink
 from repro.workload.generator import WorkloadSpec, generate_program, mixed_stream
+from tests.bench.reports import a5_rows
 
 SPEC = WorkloadSpec(rules=15, classes=5, seed=23)
 STREAM_LENGTH = 200
@@ -45,18 +44,10 @@ def _drive(program, events, strategy_name, batch_size, obs=None):
     return strategy
 
 
-@pytest.mark.parametrize("strategy_name", ["rete", "patterns"])
-@pytest.mark.parametrize("batch_size", [1, 16, 64])
-def test_propagation(benchmark, workload, strategy_name, batch_size):
-    program, events = workload
-    benchmark(lambda: _drive(program, events, strategy_name, batch_size))
-
-
 class TestA5Shape:
     @pytest.fixture(scope="class")
     def rows(self):
-        _, rows = report_a5(stream_length=200)
-        return rows
+        return a5_rows()
 
     def test_conflict_size_invariant_across_batch_sizes(self, rows):
         by_strategy = {}

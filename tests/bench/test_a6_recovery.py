@@ -2,27 +2,24 @@
 
 The paper's §5 places commit points after conflict-set maintenance; this
 repo makes them durable with a write-ahead log and periodic checkpoints
-(``docs/RECOVERY.md``).  This bench measures what that costs and what it
+(``docs/RECOVERY.md``).  These tests pin what that costs and what it
 buys:
 
 * WAL overhead — the same counter program WAL-off vs WAL-attached at
   fsync cadences 1 and 64; attachment never changes the run's outcome.
-* Recovery time — a finished log recovered cold by full replay vs
-  through the checkpoint fast path, which replays only the log tail.
+* Recovery — a finished log recovered cold by full replay vs through
+  the checkpoint fast path, which replays only the log tail.
 * ``recovery.*`` metrics (fsyncs, wal_bytes, replayed_batches) populate
   the table in ``python -m repro.bench.report a6``.
-
-Run: pytest benchmarks/bench_a6_recovery.py --benchmark-only
-Table: python -m repro.bench.report a6
 """
 
 import pytest
 
-from repro.bench.report import report_a6
 from repro.engine import ProductionSystem
 from repro.obs import Observability
 from repro.recovery import DurableRun, recover
 from repro.workload.programs import counter_program
+from tests.bench.reports import a6_rows
 
 CYCLES = 80
 SOURCE = counter_program(CYCLES)
@@ -56,51 +53,10 @@ def durable_run(wal, fsync_every=64, checkpoint_every=0, obs=None):
     return system, result
 
 
-def test_cycle_wal_off(benchmark):
-    def run():
-        system = build()
-        assert system.run().halted
-
-    benchmark(run)
-
-
-@pytest.mark.parametrize("fsync_every", [1, 64])
-def test_cycle_wal_attached(benchmark, tmp_path, fsync_every):
-    counter = iter(range(1_000_000))
-
-    def run():
-        wal = str(tmp_path / f"bench-{next(counter)}.wal")
-        _, result = durable_run(wal, fsync_every=fsync_every)
-        assert result.halted
-
-    benchmark(run)
-
-
-@pytest.fixture(scope="module")
-def finished_log(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("a6")
-    wal = str(directory / "run.wal")
-    durable_run(wal, checkpoint_every=20)
-    return wal
-
-
-def test_recover_full_replay(benchmark, finished_log):
-    state = benchmark(lambda: recover(finished_log))
-    assert not state.checkpoint_used
-
-
-def test_recover_checkpoint_fast_path(benchmark, finished_log):
-    state = benchmark(
-        lambda: recover(finished_log, finished_log + ".ckpt")
-    )
-    assert state.checkpoint_used
-
-
 class TestA6Shape:
     @pytest.fixture(scope="class")
     def rows(self):
-        _, rows = report_a6(cycles=60, checkpoint_every=15)
-        return {row["mode"]: row for row in rows}
+        return {row["mode"]: row for row in a6_rows()}
 
     def test_wal_attachment_preserves_the_outcome(self, rows):
         sizes = {row["wm"] for row in rows.values()}

@@ -8,9 +8,9 @@ probe, residual tests evaluated only inside that bucket), and each alpha
 predicate becomes one ``compile()``-generated test.  The interpreted AST
 walk (:mod:`repro.check.reference`) stays the bit-for-bit reference.
 
-This bench drives the A5 churn workload (inserts and deletes) through the
-Rete strategies on the interpreted reference and on the compiled
-production path, and asserts the acceptance properties:
+These tests drive the A5 churn workload (inserts and deletes) through
+the Rete strategies on the interpreted reference and on the compiled
+production path, and assert the acceptance properties:
 
 * batched compiled propagation performs **at least 2x fewer
   interpreter-dispatch operations** (the ``comparisons`` counter: one per
@@ -24,51 +24,20 @@ production path, and asserts the acceptance properties:
   at any batch size;
 * conflict sets are bit-identical between modes in every paired run.
 
-Wall-clock figures are recorded by the timing benchmarks below (and in
-the A7 report table) but never gated — CI runners are noisy.
-
-Run: pytest benchmarks/bench_a7_compile.py --benchmark-only
 Table: python -m repro.bench.report a7
 """
 
 import pytest
 
-from repro.bench.drivers import build_system, drive_stream
-from repro.bench.report import report_a7
-from repro.workload.generator import WorkloadSpec, generate_program, mixed_stream
+from tests.bench.reports import a7_rows
 
-SPEC = WorkloadSpec(rules=15, classes=5, seed=23)
-STREAM_LENGTH = 1000
 RETE_FAMILY = ("rete", "rete-shared")
-
-
-@pytest.fixture(scope="module")
-def workload():
-    generated = generate_program(SPEC)
-    events = mixed_stream(SPEC, STREAM_LENGTH, delete_fraction=0.25)
-    return generated.program, events
-
-
-def _drive(program, events, strategy_name, batch_size, reference):
-    wm, strategy = build_system(program, strategy_name, reference=reference)
-    drive_stream(wm, events, batch_size=batch_size)
-    return strategy
-
-
-@pytest.mark.parametrize("reference", [True, False])
-@pytest.mark.parametrize("strategy_name", RETE_FAMILY)
-def test_match_time(benchmark, workload, strategy_name, reference):
-    program, events = workload
-    benchmark(
-        lambda: _drive(program, events, strategy_name, 64, reference)
-    )
 
 
 class TestA7Shape:
     @pytest.fixture(scope="class")
     def rows(self):
-        _, rows = report_a7(stream_length=STREAM_LENGTH)
-        return rows
+        return a7_rows()
 
     def test_compiled_at_least_halves_dispatch_ops(self, rows):
         """The acceptance bar: on the batched Rete rows the compiled

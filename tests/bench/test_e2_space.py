@@ -8,27 +8,12 @@ patterns ... a trade-off between matching time and space"; POSTGRES
 markers are "clearly lower ... as rule identifiers require much less
 space compared to the full data tuples".
 
-Run: pytest benchmarks/bench_e2_space.py --benchmark-only
 Table: python -m repro.bench.report e2
 """
 
 import pytest
 
-from repro.bench.drivers import (
-    build_system,
-    drive_stream,
-    inserts_as_events,
-)
-from repro.bench.report import CORE_STRATEGIES, report_e2
-
-
-@pytest.mark.parametrize("strategy", CORE_STRATEGIES)
-def test_space_report_cost(benchmark, medium_workload, strategy):
-    """Time producing the space report on a loaded strategy (cheap)."""
-    program, stream = medium_workload
-    wm, attached = build_system(program, strategy)
-    drive_stream(wm, inserts_as_events(stream))
-    benchmark(attached.space_report)
+from repro.bench.report import report_e2
 
 
 class TestE2Shape:

@@ -6,46 +6,12 @@ because there are no matching Dept tuples.  POSTGRES will of course check
 the conditions of the rules before the corresponding actions are
 performed, but that will incur unnecessarily high computation cost."
 
-Run: pytest benchmarks/bench_e3_false_drops.py --benchmark-only
 Table: python -m repro.bench.report e3
 """
 
 import pytest
 
-from repro.bench.drivers import (
-    build_system,
-    drive_stream,
-    inserts_as_events,
-)
 from repro.bench.report import report_e3
-from repro.workload.generator import (
-    WorkloadSpec,
-    generate_insert_stream,
-    generate_program,
-)
-
-SPEC = WorkloadSpec(
-    rules=15, classes=6, min_conditions=2, max_conditions=3, domain=12, seed=3
-)
-
-
-@pytest.fixture(scope="module")
-def sparse_workload():
-    workload = generate_program(SPEC)
-    return workload.program, generate_insert_stream(SPEC, 200)
-
-
-@pytest.mark.parametrize("strategy", ["rete", "patterns", "markers"])
-def test_detection_cost(benchmark, sparse_workload, strategy):
-    """Time the stream whose completions are sparse (drop-heavy)."""
-    program, stream = sparse_workload
-    events = inserts_as_events(stream)
-
-    def run():
-        wm, _ = build_system(program, strategy)
-        drive_stream(wm, events)
-
-    benchmark(run)
 
 
 class TestE3Shape:

@@ -6,57 +6,12 @@ COND relation.  In the worst case, this will reduce to the time taken for a
 serial execution."  The second measure is "the number of serializable
 schedules equivalent to a single serial schedule".
 
-Run: pytest benchmarks/bench_e4_concurrency.py --benchmark-only
 Table: python -m repro.bench.report e4
 """
 
 import pytest
 
 from repro.bench.report import report_e4
-from repro.engine import ProductionSystem
-from repro.txn import ConcurrentScheduler
-from repro.workload.programs import (
-    contended_rules_program,
-    independent_rules_program,
-)
-
-SIZES = (4, 8)
-
-
-def _independent_system(size):
-    system = ProductionSystem(independent_rules_program(size))
-    for i in range(size):
-        system.insert(f"T{i}", {"x": i})
-    return system
-
-
-def _contended_system(size):
-    system = ProductionSystem(contended_rules_program(size))
-    system.insert("Shared", {"x": 0})
-    for i in range(size):
-        system.insert(f"T{i}", {"x": i})
-    return system
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_concurrent_independent(benchmark, size):
-    benchmark(lambda: ConcurrentScheduler(_independent_system(size)).run())
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_concurrent_contended(benchmark, size):
-    benchmark(lambda: ConcurrentScheduler(_contended_system(size)).run())
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_serial_baseline(benchmark, size):
-    """OPS5's serial Select/Act loop on the same independent workload."""
-
-    def run():
-        system = _independent_system(size)
-        system.run()
-
-    benchmark(run)
 
 
 class TestE4Shape:

@@ -6,41 +6,12 @@ selections or joins, it would be advantageous to build a global compiled
 plan that avoids multiple relation accesses" — the MQO-optimized network
 the authors planned to study ([SELL86], §6 future work).
 
-Run: pytest benchmarks/bench_e6_mqo.py --benchmark-only
 Table: python -m repro.bench.report e6
 """
 
 import pytest
 
-from repro.bench.drivers import build_system, drive_stream, inserts_as_events
 from repro.bench.report import report_e6
-from repro.workload.generator import (
-    WorkloadSpec,
-    generate_insert_stream,
-    generate_program,
-)
-
-OVERLAPPING = WorkloadSpec(
-    rules=25, classes=4, shared_condition_pool=6, seed=5
-)
-
-
-@pytest.fixture(scope="module")
-def overlapping_workload():
-    workload = generate_program(OVERLAPPING)
-    return workload.program, generate_insert_stream(OVERLAPPING, 200)
-
-
-@pytest.mark.parametrize("strategy", ["rete", "rete-shared"])
-def test_overlapping_rules_throughput(benchmark, overlapping_workload, strategy):
-    program, stream = overlapping_workload
-    events = inserts_as_events(stream)
-
-    def run():
-        wm, _ = build_system(program, strategy)
-        drive_stream(wm, events)
-
-    benchmark(run)
 
 
 class TestE6Shape:

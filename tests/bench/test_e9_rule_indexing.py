@@ -6,39 +6,12 @@ rule-based environment.  Depending on the probability of updating base
 relations and the number of conditions that overlap ... the first or the
 second approach becomes more efficient."
 
-Run: pytest benchmarks/bench_e9_rule_indexing.py --benchmark-only
 Table: python -m repro.bench.report e9
 """
 
 import pytest
 
-from repro.bench.drivers import build_system, drive_stream, inserts_as_events
 from repro.bench.report import report_e9
-from repro.workload.generator import (
-    WorkloadSpec,
-    generate_insert_stream,
-    generate_program,
-)
-
-SPEC = WorkloadSpec(rules=20, classes=4, shared_condition_pool=5, seed=17)
-
-
-@pytest.fixture(scope="module")
-def overlapping_workload():
-    workload = generate_program(SPEC)
-    return workload.program, generate_insert_stream(SPEC, 200)
-
-
-@pytest.mark.parametrize("strategy", ["markers", "predicate-index"])
-def test_rule_indexing_throughput(benchmark, overlapping_workload, strategy):
-    program, stream = overlapping_workload
-    events = inserts_as_events(stream)
-
-    def run():
-        wm, _ = build_system(program, strategy)
-        drive_stream(wm, events)
-
-    benchmark(run)
 
 
 class TestE9Shape:

@@ -147,3 +147,43 @@ class TestHistogramCounts:
         assert any(
             v.metric == "hist.engine.cycle_us.count" for v in violations
         )
+
+
+class TestUpdate:
+    """``--update`` rewrites the baseline and prints the drift it banks."""
+
+    def test_creates_a_missing_baseline(self, tmp_path, capsys):
+        from repro.obs.gate import main
+
+        baseline = tmp_path / "baseline.json"
+        assert main(["--update", "--baseline", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "creating one" in out and "baseline updated" in out
+        payload = json.loads(baseline.read_text())
+        assert any(k.startswith("hist.") for k in payload["metrics"])
+
+    def test_check_mode_shows_drift_without_writing(self, tmp_path, capsys):
+        from repro.obs.gate import main
+
+        baseline = tmp_path / "baseline.json"
+        run_gate(baseline_path=str(baseline), update=True)
+        payload = json.loads(baseline.read_text())
+        payload["metrics"]["ops.comparisons"] = 1  # pretend it regressed
+        baseline.write_text(json.dumps(payload))
+        before = baseline.read_text()
+        assert main(["--baseline", str(baseline)]) == 1
+        assert "ops.comparisons" in capsys.readouterr().err
+        assert baseline.read_text() == before
+
+    def test_banked_drift_is_printed(self, tmp_path, capsys):
+        from repro.obs.gate import main
+
+        baseline = tmp_path / "baseline.json"
+        run_gate(baseline_path=str(baseline), update=True)
+        payload = json.loads(baseline.read_text())
+        payload["metrics"]["ops.comparisons"] = 1  # pretend it regressed
+        baseline.write_text(json.dumps(payload))
+        assert main(["--update", "--baseline", str(baseline)]) == 0
+        assert "banking: ops.comparisons" in capsys.readouterr().out
+        ok, _, _ = run_gate(baseline_path=str(baseline))
+        assert ok  # the refreshed baseline passes again

@@ -13,6 +13,7 @@ that was never killed.  Parametrized over both storage backends.
 
 import pytest
 
+from repro.workload.k8s import K8S_PROGRAM, as_requests, k8s_events, k8s_setup
 from tests.serve.conftest import (
     ABSORB_PROGRAM,
     Client,
@@ -24,6 +25,8 @@ from tests.serve.conftest import (
 TENANTS = ("t1", "t2")
 EVENTS = 12          # events per tenant after the accumulator insert
 KILL_AFTER = 5       # acked ops per tenant before SIGKILL
+K8S_TENANTS = ("k8s-0", "k8s-1")
+K8S_EVENTS = 30      # k8s auto-fix events per tenant after the inventory
 
 #: Stats keys that must be bit-identical between the crashed-and-
 #: recovered run and the uninterrupted reference.
@@ -124,6 +127,9 @@ class TestKill9Equivalence:
             graceful_stop(proc, client)
 
         assert recovered == reference
+        for tenant in TENANTS:
+            # every event was consumed by the pack
+            assert recovered[tenant]["ev"] == [], recovered[tenant]
 
     def test_kill9_before_any_checkpoint_still_recovers(self, tmp_path,
                                                         backend):
@@ -155,19 +161,39 @@ class TestKill9Equivalence:
 class TestKill9Isolation:
     def test_crash_recovery_keeps_tenants_apart(self, tmp_path, backend):
         """After kill -9 and restart, each tenant sees exactly its own
-        rows — recovery replays per-tenant logs, never a merged one."""
+        rows — recovery replays per-tenant logs, never a merged one.
+
+        Two more tenants share the k8s auto-fix pack with different event
+        seeds: each recovers its whole acked stream, every event was
+        consumed, remediations and tickets were produced, and the two
+        fixed points differ."""
         streams = {tenant: ops_for(tenant) for tenant in TENANTS}
+        k8s_total = len(k8s_setup()) + K8S_EVENTS
         data_dir = tmp_path / f"iso-{backend}"
         proc, host, port = spawn_server(data_dir)
         with Client(host, port) as client:
             attach_all(client, backend)
             stream(client, streams, 0, EVENTS + 1)
+            for index, name in enumerate(K8S_TENANTS):
+                reply = client.call(op="attach", tenant=name,
+                                    program=K8S_PROGRAM,
+                                    config={"backend": backend})
+                assert reply["ok"], reply
+                ops = k8s_setup() + k8s_events(K8S_EVENTS, seed=index)
+                for request in as_requests(name, ops):
+                    reply = client.call(**request)
+                    assert reply["ok"] and reply["durable"], reply
+            # one request in flight per tenant never reaches shedding
+            status = client.call(op="status")
+            assert status["admission"]["shed"] == 0, status
         kill9(proc)
 
         proc, host, port = spawn_server(data_dir)
         with Client(host, port) as client:
             status = client.call(op="status")
-            assert status["recovered_tenants"] == list(TENANTS)
+            assert status["recovered_tenants"] == sorted(
+                TENANTS + K8S_TENANTS
+            )
             totals = {}
             for tenant in TENANTS:
                 [row] = client.call(op="query", tenant=tenant,
@@ -176,6 +202,20 @@ class TestKill9Isolation:
             expected = sum(range(1, EVENTS + 1))
             assert totals["t1"] == [expected, EVENTS]
             assert totals["t2"] == [100 * expected, EVENTS]
+            fixed_points = set()
+            for name in K8S_TENANTS:
+                stats = client.call(op="stats", tenant=name)
+                assert stats["applied_seq"] == k8s_total, stats
+                rows = {
+                    relation: client.call(op="query", tenant=name,
+                                          relation=relation)["rows"]
+                    for relation in ("event", "remediation", "ticket")
+                }
+                assert rows["event"] == [], rows["event"]
+                assert rows["remediation"] and rows["ticket"], rows
+                fixed_points.add((len(rows["remediation"]),
+                                  len(rows["ticket"]), stats["wm_size"]))
+            assert len(fixed_points) == len(K8S_TENANTS), fixed_points
             graceful_stop(proc, client)
 
 

@@ -149,6 +149,9 @@ class TestFailoverEquivalence:
         stream(standby, streams, KILL_AFTER, EVENTS + 1, epoch=2)
         recovered = snapshot(standby)
         assert recovered == reference
+        for tenant in TENANTS:
+            # every event was consumed on the promoted standby
+            assert recovered[tenant]["ev"] == [], recovered[tenant]
 
         # The restarted old primary is fenced: its handshake at the
         # promoted epoch is refused, naming its own stale epoch.

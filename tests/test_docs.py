@@ -72,7 +72,7 @@ def test_checker_catches_unknown_flag_in_fenced_block():
     assert problems and "--no-such-flag" in problems[0]
     # Known external flags stay exempt wherever they appear.
     problems = []
-    text = "```sh\npytest benchmarks/ --benchmark-only\n```\n"
+    text = "```sh\npytest -x -q --hypothesis-seed 0\n```\n"
     checker.check_code_refs(doc, text, "", problems, set())
     assert not problems
 

@@ -38,7 +38,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 #: Flags owned by external tools, allowed to appear without a repo match.
 EXTERNAL_FLAGS = {
-    "--benchmark-only",
     "--find-links",
     "--hypothesis-seed",
     "--quiet",
@@ -57,8 +56,13 @@ PATHLIKE_RE = re.compile(r"^[\w./-]+\.(py|md|ops|yml)$")
 
 
 #: Meta files of the repo-growth process, not product documentation —
-#: they quote external repos and abbreviated paths on purpose.
-EXCLUDED = {"ISSUE.md", "SNIPPETS.md", "PAPERS.md", "PAPER.md", "CHANGES.md"}
+#: they quote external repos and abbreviated paths on purpose.  ROADMAP.md
+#: plans work ahead of the code, so it names modules and files that the
+#: changes it plans will create.
+EXCLUDED = {
+    "ISSUE.md", "SNIPPETS.md", "PAPERS.md", "PAPER.md", "CHANGES.md",
+    "ROADMAP.md",
+}
 
 
 def tracked_markdown() -> list[Path]:
