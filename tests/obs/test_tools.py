@@ -1,98 +1,36 @@
-"""The maintenance scripts under ``tools/``: gate refresh, bench smoke."""
+"""Gating report counts: the A5/A6 keys the nightly bench smoke compared.
 
-import importlib.util
-import json
-from pathlib import Path
+The report-count gate (``tests/bench/test_report_counts.py``) compares
+``<report>[<row>].<column>`` counts with :func:`repro.obs.gate.compare`;
+these cases pin that comparator on such keys at the smoke's 20% tolerance.
+"""
 
-REPO = Path(__file__).resolve().parent.parent.parent
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(
-        name, REPO / "tools" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestUpdateGateBaseline:
-    def test_creates_a_missing_baseline(self, tmp_path, capsys):
-        tool = load_tool("update_gate_baseline")
-        baseline = tmp_path / "baseline.json"
-        assert tool.main(["--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "creating one" in out and "baseline updated" in out
-        payload = json.loads(baseline.read_text())
-        assert any(k.startswith("hist.") for k in payload["metrics"])
-
-    def test_dry_run_does_not_write(self, tmp_path, capsys):
-        tool = load_tool("update_gate_baseline")
-        baseline = tmp_path / "baseline.json"
-        assert tool.main(["--dry-run", "--baseline", str(baseline)]) == 0
-        assert not baseline.exists()
-
-    def test_banked_drift_is_printed(self, tmp_path, capsys):
-        from repro.obs.gate import run_gate
-
-        tool = load_tool("update_gate_baseline")
-        baseline = tmp_path / "baseline.json"
-        run_gate(baseline_path=str(baseline), update=True)
-        payload = json.loads(baseline.read_text())
-        payload["metrics"]["ops.comparisons"] = 1  # pretend it regressed
-        baseline.write_text(json.dumps(payload))
-        assert tool.main(["--baseline", str(baseline)]) == 0
-        assert "banking:" in capsys.readouterr().out
-        ok, _, _ = run_gate(baseline_path=str(baseline))
-        assert ok  # the refreshed baseline passes again
+from repro.obs.gate import compare
 
 
 class TestBenchSmokeCompare:
-    BASE = {"gate": {"a5[rete/batch=1].comparisons": 100,
-                     "a6[wal].fsyncs": 10}}
+    BASE = {"a5[rete/batch=1].comparisons": 100, "a6[wal].fsyncs": 10}
 
     def current(self, **overrides):
-        gate = dict(self.BASE["gate"], **overrides)
-        return {"gate": gate}
+        return dict(self.BASE, **overrides)
 
     def test_identical_passes(self):
-        tool = load_tool("bench_smoke")
-        assert tool.compare(self.BASE, self.current(), 0.20) == []
+        assert compare(self.BASE, self.current(), 0.20) == []
 
     def test_growth_within_tolerance_passes(self):
-        tool = load_tool("bench_smoke")
         current = self.current(**{"a5[rete/batch=1].comparisons": 115})
-        assert tool.compare(self.BASE, current, 0.20) == []
+        assert compare(self.BASE, current, 0.20) == []
 
     def test_growth_beyond_tolerance_fails(self):
-        tool = load_tool("bench_smoke")
         current = self.current(**{"a5[rete/batch=1].comparisons": 150})
-        [failure] = tool.compare(self.BASE, current, 0.20)
-        assert "grew 50.0%" in failure
+        [failure] = compare(self.BASE, current, 0.20)
+        assert "grew 50.0%" in str(failure)
 
     def test_improvement_passes(self):
-        tool = load_tool("bench_smoke")
         current = self.current(**{"a5[rete/batch=1].comparisons": 10})
-        assert tool.compare(self.BASE, current, 0.20) == []
+        assert compare(self.BASE, current, 0.20) == []
 
     def test_disappeared_count_fails(self):
-        tool = load_tool("bench_smoke")
-        current = {"gate": {"a6[wal].fsyncs": 10}}
-        [failure] = tool.compare(self.BASE, current, 0.20)
-        assert "disappeared" in failure
-
-
-class TestBenchSmokeEndToEnd:
-    def test_artifact_then_gate_roundtrip(self, tmp_path, capsys):
-        tool = load_tool("bench_smoke")
-        out = tmp_path / "BENCH_obs.json"
-        argv = ["--out", str(out), "--stream-length", "24", "--cycles", "12"]
-        assert tool.main(argv) == 0
-        payload = json.loads(out.read_text())
-        assert payload["gate"] and payload["a5"]["rows"]
-        assert all(
-            isinstance(v, (int, float)) for v in payload["gate"].values()
-        )
-        # Second night: gate against the first artifact.
-        assert tool.main(argv + ["--baseline", str(out)]) == 0
-        assert "gate passed" in capsys.readouterr().out
+        current = {"a6[wal].fsyncs": 10}
+        [failure] = compare(self.BASE, current, 0.20)
+        assert "disappeared" in str(failure)

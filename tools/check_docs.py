@@ -56,13 +56,12 @@ PATHLIKE_RE = re.compile(r"^[\w./-]+\.(py|md|ops|yml)$")
 
 
 #: Meta files of the repo-growth process, not product documentation —
-#: they quote external repos and abbreviated paths on purpose.  ROADMAP.md
-#: plans work ahead of the code, so it names modules and files that the
-#: changes it plans will create.
-EXCLUDED = {
-    "ISSUE.md", "SNIPPETS.md", "PAPERS.md", "PAPER.md", "CHANGES.md",
-    "ROADMAP.md",
-}
+#: they quote external repos and abbreviated paths on purpose.
+EXCLUDED = {"ISSUE.md", "SNIPPETS.md", "PAPERS.md", "PAPER.md", "CHANGES.md"}
+
+#: ROADMAP.md plans work ahead of the code, so it names modules and files
+#: that the changes it plans will create.
+EXCLUDED.add("ROADMAP.md")
 
 
 def tracked_markdown() -> list[Path]:
