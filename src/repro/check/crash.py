@@ -47,6 +47,7 @@ from repro.recovery import (
     SimulatedCrash,
     recover,
 )
+from repro.recovery.wal import encode_fired, fold_fired
 from repro.replica import FollowerState
 
 DEFAULT_CRASH_BACKENDS = ("memory", "sqlite")
@@ -102,13 +103,29 @@ class CrashReport:
 
 @dataclass
 class _Observables:
-    """What both sides of the comparison must agree on."""
+    """What both sides of the comparison must agree on.
+
+    ``fired`` lists the firings this process saw; a recovered run starts
+    it empty and carries the history before the recovery point as
+    ``base_count``/``base_digest``.  :meth:`fired_fold` folds both into
+    the count and digest a durable run keeps.
+    """
 
     checkpoints: dict = field(default_factory=dict)
+    base_count: int = 0
+    base_digest: str = ""
     fired: list = field(default_factory=list)
     output: list = field(default_factory=list)
     final_wm: dict = field(default_factory=dict)
     final_conflict: frozenset = frozenset()
+
+    def fired_fold(self) -> tuple[int, str]:
+        return (
+            self.base_count + len(self.fired),
+            fold_fired(
+                self.base_digest, [encode_fired(t) for t in self.fired]
+            ),
+        )
 
 
 def _wm_contents(system: ProductionSystem) -> dict:
@@ -401,8 +418,9 @@ def _finish_recovered(
     point*, and the reference sync tag it must be compared against.
     """
     system = state.system
-    observables = _Observables()
-    observables.fired = list(state.fired)
+    observables = _Observables(
+        base_count=state.fired_count, base_digest=state.fired_digest
+    )
     at_recovery = frozenset(system.strategy.conflict_set_keys())
     if state.phase == "ops":
         tag = ("ops", state.position)
@@ -450,9 +468,10 @@ def _compare(
 
     Conflict-set checkpoints are compared at *shared* tags only: a run
     recovered mid-flight legitimately lacks the tags it crossed before
-    the crash.  The fired sequence, output and final state are cumulative
-    (recovery folds the pre-crash prefix back in), so those are compared
-    in full.
+    the crash.  The output and final state are cumulative (recovery
+    folds the pre-crash prefix back in), so those are compared in full;
+    the fired history is compared as its count and chained digest, the
+    form a recovered run keeps it in.
     """
     shared = sorted(
         set(reference.checkpoints) & set(candidate.checkpoints), key=repr
@@ -465,14 +484,16 @@ def _compare(
                 kind="conflict",
                 detail=f"conflict sets differ at {tag}",
             )
-    if reference.fired != candidate.fired:
+    ref_fold, cand_fold = reference.fired_fold(), candidate.fired_fold()
+    if ref_fold != cand_fold:
         return CrashFinding(
             trace=trace,
             label=label,
             kind="fired",
             detail=(
-                f"fired sequences differ: {len(reference.fired)} vs "
-                f"{len(candidate.fired)} firings"
+                f"fired histories differ: {ref_fold[0]} firings, digest "
+                f"{ref_fold[1]} vs {cand_fold[0]} firings, digest "
+                f"{cand_fold[1]}"
             ),
         )
     if reference.output != candidate.output:
@@ -509,8 +530,9 @@ def _compare(
 
 def _follower_observables(state) -> _Observables:
     """The promoted follower's view, shaped for :func:`_compare`."""
-    observables = _Observables()
-    observables.fired = list(state.fired)
+    observables = _Observables(
+        base_count=state.fired_count, base_digest=state.fired_digest
+    )
     _finalize(state.system, observables)
     return observables
 

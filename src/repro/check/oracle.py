@@ -25,6 +25,13 @@ one that depends on how ops are chunked still shows.  The observables:
   shape directory at every sync point (:func:`pattern_index_faults`) —
   checked in each cell on its own, since every cell is indexed.
 
+Every cell but the reference also prunes its refraction set
+(:meth:`~repro.engine.interpreter.ProductionSystem.prune_refraction`) at
+every sync point, as a durable run does at each checkpoint cut, and
+checks that the pruning left ``eligible()`` — members and order —
+unchanged.  Since the reference never prunes, the cross-cell comparisons
+above also prove that pruning changes no conflict set and no firing.
+
 A disagreement (or an exception inside any replay) is reported as a
 :class:`Divergence` naming the two configurations and the first sync
 point where they differ.
@@ -144,7 +151,8 @@ def default_matrix(
 class Divergence:
     """A reproducible disagreement between two oracle configurations."""
 
-    # "conflict" | "fired" | "wm" | "rete-memory" | "pattern-index" | "error"
+    # "conflict" | "fired" | "wm" | "rete-memory" | "pattern-index"
+    # | "refraction" | "error"
     kind: str
     config: str
     reference: str
@@ -170,6 +178,8 @@ class ReplayResult:
     rete_memories: dict[tuple, dict] = field(default_factory=dict)
     #: Sync point -> :func:`pattern_index_faults`, unhealthy points only.
     pattern_faults: dict[tuple, list[str]] = field(default_factory=dict)
+    #: Sync point -> how pruning the refraction set changed ``eligible()``.
+    refraction_faults: dict[tuple, str] = field(default_factory=dict)
 
 
 def rete_index_faults(network) -> list[str]:
@@ -326,9 +336,12 @@ def _wm_contents(system: ProductionSystem) -> dict[str, tuple]:
 class _Replayer:
     """Applies a trace to one configured system, recording observables."""
 
-    def __init__(self, trace: Trace, config: CheckConfig, strategies) -> None:
+    def __init__(
+        self, trace: Trace, config: CheckConfig, strategies, prune: bool
+    ) -> None:
         self.trace = trace
         self.config = config
+        self.prune = prune
         self.strategy_cls = resolve_strategies(strategies)[config.strategy]
         self.system = ProductionSystem(
             trace.program,
@@ -404,6 +417,15 @@ class _Replayer:
             faults = pattern_index_faults(strategy)
             if faults:
                 self.result.pattern_faults[tag] = faults
+        if self.prune:
+            before = [i.key for i in self.system.eligible()]
+            dropped = self.system.prune_refraction()
+            after = [i.key for i in self.system.eligible()]
+            if after != before:
+                self.result.refraction_faults[tag] = (
+                    f"dropping {dropped} keys changed eligible() from "
+                    f"{before} to {after}"
+                )
 
     # -- phases --------------------------------------------------------------
 
@@ -467,10 +489,14 @@ class _Replayer:
 
 
 def replay_config(
-    trace: Trace, config: CheckConfig, strategies=None
+    trace: Trace, config: CheckConfig, strategies=None, prune: bool = False
 ) -> ReplayResult:
-    """Replay *trace* under one configuration, returning its observables."""
-    return _Replayer(trace, config, strategies).replay()
+    """Replay *trace* under one configuration, returning its observables.
+
+    *prune* drops dead refraction keys at every sync point and records
+    any change that made to ``eligible()``.
+    """
+    return _Replayer(trace, config, strategies, prune).replay()
 
 
 def _compare(
@@ -565,7 +591,8 @@ def run_trace(
 
     The first configuration is the reference and replays on the
     interpreted scan (:func:`repro.check.reference.interpreted`); every
-    other one replays compiled.  Within each exec mode, the first
+    other one replays compiled and prunes its refraction set at every
+    sync point.  Within each exec mode, the first
     configuration is that mode's reference — ``cycle`` records one
     firing per cycle while §5.2 records whole rounds in 2PL commit
     order, so comparing ``cycle`` against ``txn`` would report a false
@@ -585,9 +612,13 @@ def run_trace(
         try:
             if obs is not None and obs.enabled:
                 with obs.span("check.replay", config=config.label):
-                    results.append(replay_config(trace, config, cell))
+                    results.append(
+                        replay_config(trace, config, cell, prune=index > 0)
+                    )
             else:
-                results.append(replay_config(trace, config, cell))
+                results.append(
+                    replay_config(trace, config, cell, prune=index > 0)
+                )
         except Exception:
             return Divergence(
                 kind="error",
@@ -603,6 +634,14 @@ def run_trace(
                 reference=configs[0].label,
                 sync_point=tag,
                 detail=f"COND shape directory out of step: {faults}",
+            )
+        for tag, detail in result.refraction_faults.items():
+            return Divergence(
+                kind="refraction",
+                config=result.config.label,
+                reference=configs[0].label,
+                sync_point=tag,
+                detail=detail,
             )
     by_exec: dict[str, ReplayResult] = {}
     for candidate in results:

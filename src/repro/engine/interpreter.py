@@ -132,6 +132,34 @@ class RunResult:
         return [f.instantiation.rule_name for f in self.fired]
 
 
+def dead_refraction_keys(wm: WorkingMemory, keys) -> list[InstantiationKey]:
+    """The refraction *keys* that name a WM element no longer stored.
+
+    Tids are never reissued, so such a key can never be in the conflict
+    set again and dropping it changes no :meth:`ProductionSystem.eligible`
+    answer.  One liveness probe per relation the keys name.  Inside a
+    batch scope a staged delete still reads as live, so the answer errs
+    on the side of keeping a key.
+    """
+    named: dict[str, set[int]] = {}
+    for _rule, slots in keys:
+        for slot in slots:
+            if slot is not None:
+                named.setdefault(slot[0], set()).add(slot[1])
+    live = {
+        name: wm.relation(name).live_tids(tids)
+        for name, tids in named.items()
+    }
+    return [
+        key
+        for key in keys
+        if any(
+            slot is not None and slot[1] not in live[slot[0]]
+            for slot in key[1]
+        )
+    ]
+
+
 class ProductionSystem:
     """An OPS5-style production system over a relational working memory.
 
@@ -266,6 +294,12 @@ class ProductionSystem:
 
     # -- the recognize-act cycle ---------------------------------------------------
 
+    @property
+    def refraction_keys(self) -> set[InstantiationKey]:
+        """Keys of the instantiations refraction has consumed (the live
+        set itself: read it, change it only through this class)."""
+        return self._fired_keys
+
     def eligible(self) -> list[Instantiation]:
         """Conflict-set entries that refraction has not yet consumed."""
         return [
@@ -311,11 +345,22 @@ class ProductionSystem:
     def restore_run_state(self, fired_keys, output) -> None:
         """Reinstate run state captured in WAL boundary records.
 
-        *fired_keys* refill the refraction set and *output* rows (JSON
-        lists or tuples) re-extend the program output.
+        *fired_keys* become the refraction set and *output* rows (JSON
+        lists or tuples) the program output, replacing what was there.
         """
-        self._fired_keys.update(fired_keys)
-        self.output.extend(tuple(row) for row in output)
+        self._fired_keys = set(fired_keys)
+        self.output[:] = [tuple(row) for row in output]
+
+    def prune_refraction(self) -> int:
+        """Drop every refraction key naming a removed WM element.
+
+        The refraction set is then bounded by the keys whose elements
+        are all live (see :func:`dead_refraction_keys`).  Durable runs
+        call this at each checkpoint cut.  Returns how many were dropped.
+        """
+        dead = dead_refraction_keys(self.wm, self._fired_keys)
+        self._fired_keys.difference_update(dead)
+        return len(dead)
 
     def mark_fired(self, instantiation: Instantiation) -> None:
         """Record *instantiation* as fired (refraction), e.g. by an

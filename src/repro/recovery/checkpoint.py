@@ -4,8 +4,12 @@ A checkpoint captures, at one WAL boundary (its ``wal_seq``):
 
 * every WM relation's rows — exact tids, timetags and values, via the
   storage backends' ordinary iteration;
-* the run's cumulative progress (phase, cycle, fired sequence, output,
-  refraction keys are implied by the fired sequence) and resolver state;
+* the run's progress (phase, cycle, cumulative program output) and
+  resolver state;
+* the fired history as a count plus a chained digest
+  (:func:`~repro.recovery.wal.fold_fired`), and the refraction keys that
+  are still live — the history itself stays in the log, so a checkpoint
+  costs O(live state), not O(firings since attach);
 * optionally, a canonical snapshot of the Rete LEFT/RIGHT memories
   (the rete family's alpha/beta/negative/mirror contents) used to verify
   the replay-through-match rebuild bit-for-bit at recovery time.
@@ -17,6 +21,10 @@ Matcher state is deliberately *not* restored from the snapshot: recovery
 rebuilds it by replaying the restored WM through the match network
 (:meth:`repro.engine.wm.WorkingMemory.restore_batch`), and the optional
 Rete snapshot cross-checks that rebuild.
+
+Version 1 files stored the whole fired list in place of the count,
+digest and keys; :func:`load_checkpoint` still reads them, folding the
+list into that triple (:func:`migrate_checkpoint`).
 """
 
 from __future__ import annotations
@@ -27,8 +35,9 @@ import time
 import zlib
 
 from repro.errors import RecoveryError
+from repro.recovery.wal import fold_fired
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RecoveryError):
@@ -100,8 +109,8 @@ def write_checkpoint(
 ) -> dict | None:
     """Snapshot *system* as of WAL boundary *wal_seq*; returns the body.
 
-    *state* is the durable-run progress dict (phase, cycle, fired,
-    output, resolver state...) exactly as a boundary record carries it.
+    *state* is the durable-run progress dict (phase, cycle, fired count,
+    digest and live keys, output, resolver state...).
     Returns ``None`` without writing when the run's crashpoint registry
     has already fired (the simulated process is dead).
     """
@@ -129,10 +138,10 @@ def write_checkpoint(
     if include_rete and hasattr(system.strategy, "network"):
         body["rete"] = canonical_rete_snapshot(system.strategy)
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    record = json.dumps(
-        {"body": body, "crc": zlib.crc32(payload.encode("utf-8"))},
-        sort_keys=True,
-        separators=(",", ":"),
+    # Byte-for-byte what dumping {"body": body, "crc": crc} with sorted
+    # keys gives, without encoding the body a second time.
+    record = (
+        f'{{"body":{payload},"crc":{zlib.crc32(payload.encode("utf-8"))}}}'
     )
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -171,9 +180,29 @@ def load_checkpoint(path: str) -> dict | None:
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
     if zlib.crc32(payload.encode("utf-8")) != crc:
         raise CheckpointError(f"checkpoint {path!r} failed its checksum")
-    if body.get("version") != CHECKPOINT_VERSION:
+    if body.get("version") not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
             f"checkpoint {path!r} has unsupported version "
             f"{body.get('version')!r}"
         )
-    return body
+    return migrate_checkpoint(body)
+
+
+def migrate_checkpoint(body: dict) -> dict:
+    """Bring a checkpoint body to :data:`CHECKPOINT_VERSION`.
+
+    A version-1 state carries the cumulative ``fired`` list; it becomes
+    the count, the digest of the same fold a live run keeps, and the
+    keys the list names (recovery prunes the dead ones against the
+    restored WM).  A current body is returned unchanged.
+    """
+    if body["version"] == CHECKPOINT_VERSION:
+        return body
+    state = dict(body["state"])
+    fired = state.pop("fired")
+    state["fired_count"] = len(fired)
+    state["fired_digest"] = fold_fired("", fired)
+    state["fired_keys"] = sorted(
+        (key for _cycle, _rule, key in fired), key=json.dumps
+    )
+    return {**body, "version": CHECKPOINT_VERSION, "state": state}

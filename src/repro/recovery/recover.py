@@ -16,7 +16,10 @@ log and reconstructs the run at its last committed boundary:
    to drift out of sync;
 4. boundary records restore the allocation marks (clock, per-relation
    tid high-water), the refraction set, program output and the
-   resolver state.
+   resolver state, and extend the fired count and digest.  The
+   refraction set is pruned of keys naming removed elements (as a live
+   run prunes it at each checkpoint cut), so it stays bounded by the
+   live keys however long the replayed log is.
 
 Records *after* the last durable boundary are crash debris from an
 uncommitted cycle; they are ignored, and
@@ -31,7 +34,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.delta import DeltaBatch
-from repro.engine.interpreter import ProductionSystem, RunResult
+from repro.engine.interpreter import (
+    ProductionSystem,
+    RunResult,
+    dead_refraction_keys,
+)
 from repro.engine.resolution import SeededRandom
 from repro.errors import RecoveryError, SchemaError
 from repro.lang.ast import Program
@@ -46,11 +53,16 @@ from repro.recovery.checkpoint import (
 from repro.recovery.session import DurableRun, program_crc
 from repro.recovery.wal import (
     decode_batch,
-    decode_fired,
-    encode_fired,
+    decode_key,
+    fold_fired,
     read_wal_chain,
 )
 from repro.storage.tuples import StoredTuple
+
+#: The applier prunes its refraction keys once they reach twice the live
+#: count left by the previous prune (and at least this many), so pruning
+#: costs amortized O(1) per firing and the set stays O(live keys).
+PRUNE_FLOOR = 256
 
 
 @dataclass
@@ -68,8 +80,12 @@ class RecoveredState:
     cycle: int
     position: int
     halted: bool
-    #: Decoded firing triples ``(cycle, rule_name, key)`` in order.
-    fired: list = field(default_factory=list)
+    #: Firings since the run started, and the chained digest over them
+    #: (:func:`~repro.recovery.wal.fold_fired`).
+    fired_count: int = 0
+    fired_digest: str = ""
+    #: The restored refraction set: fired keys whose elements are live.
+    fired_keys: set = field(default_factory=set)
     extra: dict = field(default_factory=dict)
     torn: bool = False
     checkpoint_used: bool = False
@@ -118,7 +134,9 @@ class RecordApplier:
     stay bit-identical to the primary at every shipped boundary.
 
     Call :meth:`finalize` once, after the last record, to restore the
-    refraction set, program output and resolver state.
+    refraction set, program output and resolver state.  The fired
+    history is held as a count, a digest and the refraction keys, never
+    as a list.
     """
 
     def __init__(self, system: ProductionSystem, meta: dict) -> None:
@@ -129,7 +147,10 @@ class RecordApplier:
         self.position = 0
         self.halted = False
         self.extra: dict = {}
-        self.fired_encoded: list = []
+        self.fired_count = 0
+        self.fired_digest = ""
+        self.fired_keys: set = set()
+        self._prune_at = PRUNE_FLOOR
         self.output: list = []
         self.resolver_state = None
         self.last_boundary_seq = 0
@@ -147,9 +168,9 @@ class RecordApplier:
         applier.position = state.position
         applier.halted = state.halted
         applier.extra = dict(state.extra)
-        applier.fired_encoded = [
-            encode_fired(triple) for triple in state.fired
-        ]
+        applier.fired_count = state.fired_count
+        applier.fired_digest = state.fired_digest
+        applier.fired_keys = set(state.fired_keys)
         applier.output = [list(row) for row in state.system.output]
         applier.last_boundary_seq = state.next_seq - 1
         applier.replayed_batches = state.replayed_batches
@@ -179,7 +200,11 @@ class RecordApplier:
         self.position = ckpt_state["position"]
         self.halted = ckpt_state["halted"]
         self.extra = dict(ckpt_state.get("extra") or {})
-        self.fired_encoded = list(ckpt_state["fired"])
+        self.fired_count = ckpt_state["fired_count"]
+        self.fired_digest = ckpt_state["fired_digest"]
+        self.fired_keys = {
+            decode_key(key) for key in ckpt_state["fired_keys"]
+        }
         self.output = list(ckpt_state["output"])
         self.resolver_state = ckpt_state.get("resolver_state")
         self.last_boundary_seq = ckpt["wal_seq"]
@@ -207,7 +232,13 @@ class RecordApplier:
         self.position = body["position"]
         self.halted = body["halted"]
         self.extra = dict(body.get("extra") or {})
-        self.fired_encoded.extend(body["fired"])
+        fired = body["fired"]
+        if fired:
+            self.fired_count += len(fired)
+            self.fired_digest = fold_fired(self.fired_digest, fired)
+            self.fired_keys.update(decode_key(entry[2]) for entry in fired)
+            if len(self.fired_keys) >= self._prune_at:
+                self._prune()
         self.output.extend(body["output_delta"])
         self.system.wm.catalog.clock.advance_to(body["clock"])
         self.system.wm.restore_tid_marks(body["tids"])
@@ -216,11 +247,18 @@ class RecordApplier:
         self.last_boundary_seq = seq
         return True
 
-    def finalize(self) -> list:
-        """Restore refraction/output/resolver; returns decoded firings."""
-        fired = [decode_fired(entry) for entry in self.fired_encoded]
+    def _prune(self) -> None:
+        """Drop keys naming removed elements (the engine's rule)."""
+        self.fired_keys.difference_update(
+            dead_refraction_keys(self.system.wm, self.fired_keys)
+        )
+        self._prune_at = max(2 * len(self.fired_keys), PRUNE_FLOOR)
+
+    def finalize(self) -> None:
+        """Prune, then restore the refraction set, output and resolver."""
+        self._prune()
         self.system.restore_run_state(
-            fired_keys={key for _, _, key in fired},
+            fired_keys=self.fired_keys,
             output=self.output,
         )
         if self.resolver_state is not None and isinstance(
@@ -228,7 +266,6 @@ class RecordApplier:
         ):
             self.system.resolver.setstate(self.resolver_state)
         self._finalized = True
-        return fired
 
 
 def _checkpoint_rows(relations: dict) -> list[StoredTuple]:
@@ -362,7 +399,10 @@ def recover(
                 f"{record.seq} cannot be replayed: {error}"
             ) from error
 
-    state.fired = applier.finalize()
+    applier.finalize()
+    state.fired_count = applier.fired_count
+    state.fired_digest = applier.fired_digest
+    state.fired_keys = set(applier.fired_keys)
     state.phase = applier.phase
     state.cycle = applier.cycle
     state.position = applier.position

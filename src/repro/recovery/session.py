@@ -11,8 +11,12 @@ Wraps a live :class:`~repro.engine.interpreter.ProductionSystem` so that
 
 Boundary records carry the run's *delta* state (this cycle's firings and
 program output) plus the allocation marks (logical clock, per-relation
-tid high-water) and resolver/tuner state needed to restart the loop
+tid high-water) and resolver state needed to restart the loop
 deterministically.  :mod:`repro.recovery.recover` folds them back up.
+The run itself keeps no per-firing list: it keeps the fired count and a
+chained digest of the boundaries' ``fired`` deltas, and each checkpoint
+cut first prunes the refraction set down to its live keys, so a
+checkpoint costs O(live state) however long the run has been going.
 """
 
 from __future__ import annotations
@@ -23,7 +27,13 @@ from repro.delta import DeltaBatch
 from repro.engine.interpreter import ProductionSystem, RunResult
 from repro.engine.resolution import SeededRandom
 from repro.recovery.checkpoint import write_checkpoint
-from repro.recovery.wal import DEFAULT_FSYNC_EVERY, WalWriter, encode_fired
+from repro.recovery.wal import (
+    DEFAULT_FSYNC_EVERY,
+    WalWriter,
+    encode_fired,
+    encode_key,
+    fold_fired,
+)
 
 
 def program_crc(program_text: str) -> int:
@@ -41,6 +51,11 @@ class DurableRun:
     after a :class:`~repro.recovery.crashpoints.SimulatedCrash`, call
     :meth:`abandon` — the writer is already playing dead and nothing
     after the crash becomes durable.
+
+    The fired history is held as :attr:`fired_count` and
+    :attr:`fired_digest` (:func:`~repro.recovery.wal.fold_fired` over
+    every boundary's wire-encoded ``fired`` delta); the firings
+    themselves live only in the log's boundary records.
     """
 
     def __init__(
@@ -70,7 +85,8 @@ class DurableRun:
         self.halted = False
         self.extra: dict = {}
         self.last_boundary_seq = 0
-        self._fired: list = []  # cumulative, wire-encoded triples
+        self.fired_count = 0
+        self.fired_digest = ""
         self._output_len = 0
         self._cycles_since_checkpoint = 0
         self._bytes_at_checkpoint = 0
@@ -210,7 +226,8 @@ class DurableRun:
         run.halted = state.halted
         run.extra = dict(state.extra)
         run.last_boundary_seq = state.next_seq - 1
-        run._fired = [encode_fired(triple) for triple in state.fired]
+        run.fired_count = state.fired_count
+        run.fired_digest = state.fired_digest
         run._output_len = len(state.system.output)
         run._bytes_at_checkpoint = writer.synced_bytes
         return run
@@ -233,6 +250,9 @@ class DurableRun:
         extra: dict | None = None,
     ) -> int:
         """Write one fsynced boundary record (the commit point)."""
+        if fired_delta:
+            self.fired_count += len(fired_delta)
+            self.fired_digest = fold_fired(self.fired_digest, fired_delta)
         self.phase = phase
         if position is not None:
             self.position = position
@@ -291,7 +311,6 @@ class DurableRun:
                     (cycle, instantiation.rule_name, instantiation.key)
                 )
             ]
-            self._fired.extend(delta)
             self.halted = record.outcome.halted
             self._commit_boundary("cycle", fired_delta=delta)
             self._cycles_since_checkpoint += 1
@@ -330,7 +349,6 @@ class DurableRun:
                 encode_fired((round_no, key[0], key))
                 for key in stats.committed_seq
             ]
-            self._fired.extend(delta)
             self._commit_boundary("round", fired_delta=delta)
             self._cycles_since_checkpoint += 1
             self._maybe_checkpoint()
@@ -340,12 +358,17 @@ class DurableRun:
     # -- checkpoints ----------------------------------------------------------
 
     def _state_snapshot(self) -> dict:
-        """The cumulative run state, as a checkpoint stores it."""
+        """The run state as a checkpoint stores it: progress, output, and
+        the fired history as count, digest and live refraction keys."""
         return {
             "phase": self.phase,
             "cycle": self.next_cycle - 1,
             "position": self.position,
-            "fired": list(self._fired),
+            "fired_count": self.fired_count,
+            "fired_digest": self.fired_digest,
+            "fired_keys": [
+                encode_key(key) for key in sorted(self.system.refraction_keys)
+            ],
             "output": [list(row) for row in self.system.output],
             "halted": self.halted,
             "resolver_state": self._resolver_state(),
@@ -371,6 +394,7 @@ class DurableRun:
         """Cut a checkpoint at the last committed boundary."""
         if self.checkpoint_path is None:
             return None
+        self.system.prune_refraction()
         body = write_checkpoint(
             self.system,
             self.checkpoint_path,

@@ -48,6 +48,7 @@ its boundary returns.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -122,6 +123,23 @@ def encode_fired(triple) -> list:
 def decode_fired(data) -> tuple:
     cycle, rule_name, key = data
     return (int(cycle), rule_name, decode_key(key))
+
+
+def fold_fired(digest: str, entries) -> str:
+    """Chain wire-encoded firings onto a fired-history *digest*.
+
+    The empty history's digest is ``""``; each entry folds in as the
+    BLAKE2b of the previous digest plus the entry's compact JSON.  The
+    fold of a list equals folding any split of it in order, so a
+    boundary folds its own ``fired`` delta, a checkpoint stores the
+    running value, and recovery continues the chain from there.
+    """
+    for entry in entries:
+        digest = hashlib.blake2b(
+            (digest + json.dumps(entry, separators=(",", ":"))).encode(),
+            digest_size=16,
+        ).hexdigest()
+    return digest
 
 
 def _crc(seq: int, kind: str, body: dict) -> int:

@@ -250,7 +250,7 @@ class FollowerTenant:
         self.writer.sync()
         durable_offset = self.writer.synced_bytes
         self.writer.close()
-        fired = self.applier.finalize()
+        self.applier.finalize()
         return RecoveredState(
             system=self.system,
             meta=self.meta,
@@ -261,7 +261,9 @@ class FollowerTenant:
             cycle=self.applier.cycle,
             position=self.applier.position,
             halted=self.applier.halted,
-            fired=fired,
+            fired_count=self.applier.fired_count,
+            fired_digest=self.applier.fired_digest,
+            fired_keys=set(self.applier.fired_keys),
             extra=dict(self.applier.extra),
             checkpoint_used=self.checkpoint_used,
             replayed_batches=self.applier.replayed_batches,

@@ -343,7 +343,7 @@ class TenantSession:
             "applied_seq": self.applied_seq,
             "position": self.position,
             "cycles": self.run.next_cycle - 1,
-            "fired": len(self.run._fired),
+            "fired": self.run.fired_count,
             "wm_size": system.wm.size(),
             "output": [list(row) for row in system.output],
             "queue_depth": self.depth,

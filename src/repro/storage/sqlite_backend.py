@@ -357,6 +357,10 @@ class SqliteTable(Table):
         for record in cursor.fetchall():
             yield self._row_from_sql(record)
 
+    def live_tids(self, tids) -> set[int]:
+        stored = self._execute(f"SELECT tid FROM {self._table}").fetchall()
+        return {tid for (tid,) in stored}.intersection(tids)
+
     def __len__(self) -> int:
         (count,) = self._execute(
             f"SELECT COUNT(*) FROM {self._table}"

@@ -126,6 +126,13 @@ class Table:
         """Yield every stored row (order unspecified but deterministic)."""
         raise NotImplementedError
 
+    def live_tids(self, tids) -> set[int]:
+        """The subset of *tids* naming stored rows.
+
+        A liveness probe, not a data access: no tuple read is counted.
+        """
+        raise NotImplementedError
+
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -333,6 +340,10 @@ class MemoryTable(Table):
         for row in list(self._rows.values()):
             self.counters.tuple_reads += 1
             yield row
+
+    def live_tids(self, tids) -> set[int]:
+        rows = self._rows
+        return {tid for tid in tids if tid in rows}
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -198,3 +198,33 @@ class TestProductionSystemConstruction:
             return ps.run().fired_rule_names
 
         assert run(5) == run(5)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+class TestPruneRefraction:
+    SOURCE = """
+    (literalize T x)
+    (literalize Block x)
+    (literalize Log x)
+    (p note (T ^x <V>) -(Block ^x <V>) --> (make Log ^x <V>))
+    """
+
+    def test_drops_only_keys_naming_removed_elements(self, backend):
+        ps = ProductionSystem(self.SOURCE, backend=backend)
+        keep = ps.insert("T", {"x": 1})
+        gone = ps.insert("T", {"x": 2})
+        blocked = ps.insert("T", {"x": 3})
+        assert ps.run().cycles == 3
+        block = ps.insert("Block", {"x": 3})  # leaves the conflict set
+        ps.remove(gone)
+        reads = ps.counters.as_dict()
+        assert ps.prune_refraction() == 1
+        assert ps.counters.as_dict() == reads  # a probe, not a data access
+        assert {key[1][0] for key in ps.refraction_keys} == {
+            ("T", keep.tid), ("T", blocked.tid),
+        }
+        # Unblocked, the instantiation is back; its live key still holds.
+        ps.remove(block)
+        assert ps.eligible() == []
+        assert ps.run().cycles == 0
+        assert ps.prune_refraction() == 0

@@ -16,6 +16,7 @@ from repro.recovery import (
     recover,
     resume_run,
 )
+from repro.recovery.wal import encode_fired, fold_fired
 
 PROGRAM = """
 (literalize counter n)
@@ -77,6 +78,15 @@ def fired_triples(records):
     ]
 
 
+def fired_fold(triples, count=0, digest=""):
+    """The (count, digest) a durable run keeps for *triples* appended to
+    a history of *count* firings with *digest*."""
+    return (
+        count + len(triples),
+        fold_fired(digest, [encode_fired(t) for t in triples]),
+    )
+
+
 def reference(backend="memory", **overrides):
     system, _ = build(backend, **overrides)
     result = system.run()
@@ -110,10 +120,11 @@ class TestCrashRecoverResume:
         resumed = state.system
         assert list(resumed.output) == expected["output"]
         assert wm_rows(resumed) == expected["wm"]
-        assert (
-            list(state.fired) + fired_triples(result.fired)
-            == expected["fired"]
-        )
+        assert fired_fold(
+            fired_triples(result.fired),
+            state.fired_count,
+            state.fired_digest,
+        ) == fired_fold(expected["fired"])
 
     def test_checkpoint_fast_path_matches_full_replay(self, tmp_path, backend):
         expected = reference(backend)
@@ -138,7 +149,10 @@ class TestCrashRecoverResume:
         without = recover(wal)
         assert not without.checkpoint_used
         assert wm_rows(with_ckpt.system) == wm_rows(without.system)
-        assert with_ckpt.fired == without.fired
+        assert (with_ckpt.fired_count, with_ckpt.fired_digest) == (
+            without.fired_count, without.fired_digest
+        )
+        assert with_ckpt.fired_keys == without.fired_keys
 
         result = resume_run(with_ckpt, checkpoint_path=ckpt)
         assert result.halted
@@ -241,7 +255,9 @@ class TestLifecycle:
         assert second.halted
         assert wm_rows(second.system) == expected["wm"]
         assert list(second.system.output) == expected["output"]
-        assert second.fired == expected["fired"]
+        assert (second.fired_count, second.fired_digest) == fired_fold(
+            expected["fired"]
+        )
 
     @staticmethod
     def crash_and_recover_with_meta(tmp_path, meta, body=None):

@@ -76,7 +76,10 @@ def assert_equivalent(state, reference):
     assert state.next_seq == reference.next_seq
     assert wm_rows(state.system) == wm_rows(reference.system)
     assert cs_keys(state.system) == cs_keys(reference.system)
-    assert list(state.fired) == list(reference.fired)
+    assert (state.fired_count, state.fired_digest) == (
+        reference.fired_count, reference.fired_digest
+    )
+    assert state.fired_keys == reference.fired_keys
     assert state.extra == reference.extra
     assert list(state.system.output) == list(reference.system.output)
     assert state.phase == reference.phase
@@ -171,6 +174,33 @@ class TestFollowerEquivalence:
         drive(run)
         state = follower.pop_states()["t"]
         assert_equivalent(recover(state.wal_path), recover(str(wal)))
+
+    def test_restarted_follower_promotes_to_the_primary_state(self,
+                                                              tmp_path):
+        """A follower resumed from its own files (a standby restart) and
+        then promoted restores the program output once, not twice."""
+        wal = tmp_path / "t.wal"
+        local = tmp_path / "f"
+        follower = FollowerState(str(local), epoch=1)
+        run = start_primary(
+            wal,
+            tap=lambda _first, lines: follower.ingest_lines(
+                "t", list(lines)
+            ),
+        )
+        run.run(max_cycles=3)
+        follower.tenants["t"].close()
+        restarted = FollowerState(str(local), epoch=1)
+        restarted.tenants["t"] = FollowerTenant.from_state(
+            "t", str(local), recover(str(local / "t.wal"))
+        )
+        run.writer.tap = lambda _first, lines: restarted.ingest_lines(
+            "t", list(lines)
+        )
+        drive(run)
+        [state] = restarted.pop_states().values()
+        assert list(state.system.output) == [(n,) for n in range(1, 8)]
+        assert_equivalent(state, recover(str(wal)))
 
     def test_snapshot_catchup_matches_live_stream(self, tmp_path):
         """A follower that attaches after the fact bootstraps from one

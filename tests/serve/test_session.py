@@ -225,6 +225,39 @@ class TestStatsAndQuery:
         assert stats["recovered"] is False
         session.close()
 
+    def test_fired_count_survives_a_checkpoint_and_a_restart(self,
+                                                             tmp_path):
+        """``stats()["fired"]`` is the durable run's fired count: right
+        before and after a forced checkpoint, and after a kill -9 whose
+        recovery reads the checkpoint plus the log suffix past it."""
+        group = GroupCommit()
+        session, _ = make_session(tmp_path, group=group)
+        session.enqueue(request(op="insert", tenant="t1", seq=1,
+                                relation="acc",
+                                values={"total": 0, "count": 0}))
+        for seq in (2, 3, 4):
+            session.enqueue(request(op="insert", tenant="t1", seq=seq,
+                                    relation="ev", values={"n": seq}))
+            session.drain()
+            group.flush()
+        assert session.stats()["fired"] == 3
+        assert session.maybe_checkpoint(force=True)
+        assert session.stats()["fired"] == 3
+        session.enqueue(request(op="insert", tenant="t1", seq=5,
+                                relation="ev", values={"n": 5}))
+        session.drain()
+        group.flush()
+        assert session.stats()["fired"] == 4
+        digest = session.run.fired_digest
+        session.run.abandon()  # kill -9
+
+        revived = TenantSession.recover_from_disk(
+            "t1", str(tmp_path), SessionRegistry(), group=GroupCommit()
+        )
+        assert revived.stats()["fired"] == 4
+        assert revived.run.fired_digest == digest
+        revived.close()
+
     def test_query_unknown_relation_raises(self, tmp_path):
         session, _ = make_session(tmp_path)
         with pytest.raises(Exception):

@@ -17,7 +17,12 @@ Hard assertions, all deterministic:
 * after restart the recovered ``applied_seq`` equals the last acked seq;
 * the event relation is empty at quiescence (the pack consumes every
   event — the k8s workload invariant);
-* the server exits 0 on protocol shutdown.
+* the server exits 0 on protocol shutdown;
+* after it, every tenant's checkpoint, less its WM rows, is under
+  :data:`CHECKPOINT_LIMIT` bytes — a checkpoint holds live state, not
+  the history of the run.  The WM rows are live state too, but the
+  pack's ``ticket`` relation grows with the stream, so their size
+  depends on how many events the host pushed through in the budget.
 
 Every request/reply pair is appended to a per-phase JSONL trace under
 ``--trace-dir``; CI uploads the traces when the soak fails.
@@ -46,6 +51,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.workload.k8s import K8S_PROGRAM, k8s_events, k8s_setup  # noqa: E402
 
 TENANTS = ("acme", "globex")
+
+#: Bound on a tenant's checkpoint, less its WM rows, after the soak's
+#: clean shutdown.
+CHECKPOINT_LIMIT = 64 * 1024
 
 
 class SoakFailure(AssertionError):
@@ -144,6 +153,22 @@ def stream_until(client, deadline: float, streams, cursors, acked) -> int:
     return sent
 
 
+def assert_bounded_checkpoints(data_dir: Path) -> dict:
+    sizes = {}
+    for tenant in TENANTS:
+        path = data_dir / f"{tenant}.ckpt"
+        relations = json.loads(path.read_text())["body"]["relations"]
+        wm_bytes = len(json.dumps(relations, sort_keys=True,
+                                  separators=(",", ":")))
+        size = path.stat().st_size
+        check(size - wm_bytes < CHECKPOINT_LIMIT,
+              f"{tenant}: checkpoint is {size} bytes after shutdown, "
+              f"{size - wm_bytes} of them not WM rows — over the "
+              f"{CHECKPOINT_LIMIT}-byte bound")
+        sizes[tenant] = {"total": size, "wm_rows": wm_bytes}
+    return sizes
+
+
 def assert_no_shed(client) -> None:
     status = client.call(op="status")
     check(status["admission"]["shed"] == 0,
@@ -220,6 +245,7 @@ def soak(duration: float, data_dir: Path, trace_dir: Path,
     proc.wait(timeout=60)
     check(proc.returncode == 0,
           f"clean shutdown exited {proc.returncode}")
+    checkpoint_bytes = assert_bounded_checkpoints(data_dir)
 
     elapsed = time.perf_counter() - started
     return {
@@ -229,6 +255,7 @@ def soak(duration: float, data_dir: Path, trace_dir: Path,
         "events_total": phase1 + phase3,
         "events_per_s": round((phase1 + phase3) / elapsed, 1),
         "acked": acked,
+        "checkpoint_bytes": checkpoint_bytes,
     }
 
 
@@ -350,6 +377,7 @@ def failover_soak(duration: float, data_dir: Path, trace_dir: Path,
     fproc.wait(timeout=60)
     check(fproc.returncode == 0,
           f"promoted standby shutdown exited {fproc.returncode}")
+    checkpoint_bytes = assert_bounded_checkpoints(standby_dir)
 
     elapsed = time.perf_counter() - started
     return {
@@ -361,6 +389,7 @@ def failover_soak(duration: float, data_dir: Path, trace_dir: Path,
         "events_total": phase1 + phase3,
         "events_per_s": round((phase1 + phase3) / elapsed, 1),
         "acked": acked,
+        "checkpoint_bytes": checkpoint_bytes,
     }
 
 
