@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import os
 
-from repro.check.oracle import Divergence, run_trace
+from repro.check.drive import Divergence
+from repro.check.oracle import run_trace
 from repro.check.trace import Trace
 
 

@@ -357,8 +357,11 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     ``--save-repro``, written into the regression corpus.  With FILE the
     rule base is pinned and only op scripts are fuzzed.
     """
-    from repro.check import run_check
-    from repro.check.crash import DEFAULT_CRASH_STRATEGY
+    from repro.check import run_check, run_crash_check
+    from repro.check.crash import (
+        DEFAULT_CRASH_BACKENDS,
+        DEFAULT_CRASH_STRATEGY,
+    )
     from repro.check.oracle import EXEC_MODES
 
     budget = args.budget if args.budget is not None else 50
@@ -379,20 +382,29 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
     if args.metrics_out:
         obs.enable_metrics()
     if args.crash:
-        return _cmd_check_crash(
-            args, budget, backends, resolutions, obs, exec_modes,
+        report = run_crash_check(
+            budget=budget,
+            seed=args.seed,
+            resolutions=resolutions,
+            program=_read(args.file) if args.file else None,
+            save_repro_dir=args.save_repro,
+            obs=obs,
+            backends=tuple(backends or DEFAULT_CRASH_BACKENDS),
+            exec_modes=tuple(exec_modes or ("cycle",)),
+            replicate=args.replica,
         )
-    report = run_check(
-        budget=budget,
-        seed=args.seed,
-        strategies=strategies,
-        backends=backends,
-        program=_read(args.file) if args.file else None,
-        save_repro_dir=args.save_repro,
-        obs=obs,
-        resolutions=resolutions,
-        exec_modes=exec_modes,
-    )
+    else:
+        report = run_check(
+            budget=budget,
+            seed=args.seed,
+            strategies=strategies,
+            backends=backends,
+            program=_read(args.file) if args.file else None,
+            save_repro_dir=args.save_repro,
+            obs=obs,
+            resolutions=resolutions,
+            exec_modes=exec_modes,
+        )
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(obs.metrics.snapshot(), handle, indent=2, default=str)
@@ -407,39 +419,6 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
             )
         if failure.repro_path:
             print(f"  repro saved: {failure.repro_path}")
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-def _cmd_check_crash(
-    args, budget, backends, resolutions, obs, exec_modes=None,
-) -> int:
-    """``repro check --crash``: the crash-recovery equivalence campaign."""
-    from repro.check import run_crash_check
-
-    kwargs = {}
-    if backends is not None:
-        kwargs["backends"] = tuple(backends)
-    if exec_modes is not None:
-        kwargs["exec_modes"] = exec_modes
-    if getattr(args, "replica", False):
-        kwargs["replicate"] = True
-    report = run_crash_check(
-        budget=budget,
-        seed=args.seed,
-        resolutions=resolutions,
-        program=_read(args.file) if args.file else None,
-        save_repro_dir=args.save_repro,
-        obs=obs,
-        **kwargs,
-    )
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(obs.metrics.snapshot(), handle, indent=2, default=str)
-            handle.write("\n")
-    obs.close()
-    for finding in report.findings:
-        print(f"FAIL {finding.trace.name}: {finding.describe()}")
     print(report.summary())
     return 0 if report.ok else 1
 
