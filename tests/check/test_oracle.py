@@ -1,5 +1,6 @@
 """The differential oracle: clean parity, injected faults, error capture."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -9,12 +10,15 @@ from repro.check import (
     PROFILES,
     default_matrix,
     generate_trace,
+    load_trace,
     replay_config,
     run_trace,
 )
 from repro.check.trace import Trace, TraceOp
 from repro.match import STRATEGIES, SimplifiedStrategy
 from repro.match.rete import ReteStrategy
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 #: A cheap sub-matrix for tests that exercise the machinery rather than
 #: the full strategy space (the full matrix runs in test_full_matrix and
@@ -121,7 +125,8 @@ class TestExecAxis:
         modes are compared only within their own group).  The traces are
         two that set-at-a-time firing could not replay consistently."""
         configs = default_matrix(exec_modes=("cycle", "txn"))
-        for trace in (generate_trace(1, 38), generate_trace(3, 17)):
+        for name in ("seed1-38-modify-heavy", "seed3-17-modify-heavy"):
+            trace = load_trace(os.path.join(CORPUS_DIR, f"{name}.json"))
             assert run_trace(trace, configs=configs) is None
 
     def test_txn_replay_records_round_firings(self):

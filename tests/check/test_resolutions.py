@@ -38,8 +38,8 @@ class TestGeneratorRotation:
         assert seen == set(resolutions)
 
     def test_rotation_is_orthogonal_to_the_profile_rotation(self):
-        """With two resolvers and an odd profile count, every profile is
-        eventually paired with every resolver."""
+        """With two resolvers (and an even profile count), every profile
+        is eventually paired with every resolver."""
         resolutions = ("lex", "mea")
         pairs = {
             (trace.name.split("-")[2], trace.resolution)
