@@ -5,9 +5,8 @@ Large Production Systems in a DBMS Environment: Concepts and Algorithms"*
 (SIGMOD 1988): OPS5-style rules over relational working memory, four
 interchangeable match-indexing strategies (Rete, simplified query
 re-evaluation, the paper's matching-pattern scheme, and POSTGRES-style
-tuple markers), the recognize-act engine, transactional concurrent
-execution of conflict sets, and trigger/materialized-view layers built on
-the same matching machinery.
+tuple markers), the recognize-act engine, and transactional concurrent
+execution of conflict sets.
 
 Quick start::
 
@@ -75,7 +74,6 @@ from repro.txn import (
     equivalent_serial_order,
     is_serializable,
 )
-from repro.views import MaterializedView, TriggerManager, ViewManager
 from repro.workload import WorkloadSpec, generate_workload
 
 __version__ = "1.0.0"
@@ -92,7 +90,6 @@ __all__ = [
     "JsonlFileSink",
     "MatchStrategy",
     "MatchingPatternsStrategy",
-    "MaterializedView",
     "MetricsRegistry",
     "Observability",
     "POLICIES",
@@ -114,8 +111,6 @@ __all__ = [
     "SpaceReport",
     "StoredTuple",
     "TraceEvent",
-    "TriggerManager",
-    "ViewManager",
     "WorkingMemory",
     "WorkloadSpec",
     "analyze_program",

@@ -68,6 +68,10 @@ class CrashReport(CheckReport):
     recoveries: int = 0
     restarts: int = 0
     promotions: int = 0
+    #: Traces drawn into a checkpointed cell, and how many of those cut
+    #: a checkpoint (their dry run crossed ``checkpoint.mid``).
+    checkpointed: int = 0
+    checkpoints_cut: int = 0
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FINDING(S)"
@@ -78,7 +82,9 @@ class CrashReport(CheckReport):
             f"crash-check: {self.traces_run}/{self.budget} traces, "
             f"{self.crashes_fired} crashes, {self.recoveries} recoveries"
             f"{promoted}, "
-            f"{self.restarts} restarts in {self.elapsed_s:.1f}s — {status}"
+            f"{self.restarts} restarts, "
+            f"{self.checkpoints_cut}/{self.checkpointed} checkpointed traces "
+            f"cut a checkpoint in {self.elapsed_s:.1f}s — {status}"
         )
 
 
@@ -317,7 +323,9 @@ def run_crash_check(
     chunking, and, on about half the traces each, checkpoints every
     *checkpoint_every* cycles (those cells also rotate and compact their
     log segments) and, with *replicate*, survival by promoting a shipped
-    follower instead of recovering the primary's log.
+    follower instead of recovering the primary's log.  A checkpointed
+    ``txn`` cell checkpoints every §5.2 round: a durable run counts a
+    round as one cycle, and a txn trace runs only a few rounds.
     """
     obs = obs or Observability()
     report = CrashReport(budget=budget, seed=seed)
@@ -341,6 +349,8 @@ def run_crash_check(
             "exec_mode": draw.choice(exec_modes),
             "replicate": replicate and draw.random() < 0.5,
         }
+        if cell["checkpoint_every"] and cell["exec_mode"] == "txn":
+            cell["checkpoint_every"] = 1
         with obs.span(
             "check.crash_trace",
             trace=trace.name,
@@ -359,6 +369,9 @@ def run_crash_check(
         report.recoveries += stats["recovered"]
         report.restarts += stats["restarted"]
         report.promotions += stats["promoted"]
+        if cell["checkpoint_every"]:
+            report.checkpointed += 1
+            report.checkpoints_cut += "checkpoint.mid" in stats["hits"]
         if observing:
             obs.metrics.counter("check.crash_traces").inc()
             for metric, key in (("check.crashes", "crashed"),

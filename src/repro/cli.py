@@ -4,7 +4,7 @@
                                         [--resolution lex] [--max-cycles N]
                                         [--backend memory] [--quiet]
                                         [--lineage]
-                                        [--trace-out t.jsonl] [--otel]
+                                        [--trace-out t.jsonl]
                                         [--trace-rotate-bytes N]
                                         [--trace-keep K]
                                         [--metrics-out m.json]
@@ -109,18 +109,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 keep=args.trace_keep,
             )
         )
-    if args.otel:
-        from repro.obs.otel import make_otel_sink
-
-        otel_sink = make_otel_sink()
-        if otel_sink is None:
-            print(
-                "warning: --otel requested but the opentelemetry "
-                "distribution is not installed; continuing without it",
-                file=sys.stderr,
-            )
-        else:
-            obs.add_sink(otel_sink)
     want_metrics = bool(args.metrics_out) or args.manifest is not None
     if want_metrics:
         obs.enable_metrics()
@@ -747,12 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="rotated trace files to keep before the oldest is deleted "
         "(default: 3)",
-    )
-    run.add_argument(
-        "--otel",
-        action="store_true",
-        help="also forward spans and events to OpenTelemetry when the "
-        "SDK is installed (warns and continues without it)",
     )
     run.add_argument(
         "--metrics-out",

@@ -117,61 +117,12 @@ class ActionExecutor:
         # replaces the element, and later actions on the same condition
         # number must see the replacement.
         current: list[StoredTuple | None] = list(instantiation.wmes)
-        actions = analysis.rule.actions
         try:
-            index = 0
-            while index < len(actions):
-                action = actions[index]
-                run = self._make_run(actions, index)
-                if len(run) > 1:
-                    self._execute_makes(run, bindings, outcome)
-                    index += len(run)
-                    continue
+            for action in analysis.rule.actions:
                 self._execute_one(action, bindings, current, outcome)
-                index += 1
         except Halt:
             outcome.halted = True
         return outcome
-
-    def _make_run(self, actions, index: int) -> list[MakeAction]:
-        """The maximal run of same-class ``(make ...)`` actions at *index*.
-
-        Only worth batching while the WM is buffering a delta batch (the
-        engine's act phase); safe because makes neither read ``current``
-        nor rebind variables, so evaluation order within the run is
-        indistinguishable from sequential execution.
-        """
-        first = actions[index]
-        if not isinstance(first, MakeAction) or not self.wm.batching:
-            return [first]
-        run = [first]
-        for action in actions[index + 1:]:
-            if (
-                not isinstance(action, MakeAction)
-                or action.class_name != first.class_name
-            ):
-                break
-            run.append(action)
-        return run
-
-    def _execute_makes(
-        self,
-        run: list[MakeAction],
-        bindings: dict[str, Value],
-        outcome: ActionOutcome,
-    ) -> None:
-        """One ``insert_many`` for a run of same-class makes."""
-        schema = self.wm.schema(run[0].class_name)
-        rows = [
-            schema.row_from_mapping(
-                {
-                    attribute: evaluate_expression(expression, bindings)
-                    for attribute, expression in action.assignments
-                }
-            )
-            for action in run
-        ]
-        outcome.inserted.extend(self.wm.insert_many(run[0].class_name, rows))
 
     def _execute_one(
         self,

@@ -84,8 +84,8 @@ class ConflictSet:
     """The set of currently satisfied instantiations, indexed by WME.
 
     Listeners (callbacks ``on_added(inst)`` / ``on_removed(inst)``) observe
-    membership changes — the hook the trigger and materialized-view layers
-    build on.
+    membership changes — the hook ``repro explain``'s lineage recorder
+    builds on.
     """
 
     _by_key: dict[InstantiationKey, Instantiation] = field(default_factory=dict)

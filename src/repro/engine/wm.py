@@ -59,7 +59,7 @@ from repro.storage.tuples import StoredTuple
 
 
 class WMListener(Protocol):
-    """Anything notified of WM changes (match strategies, view maintainers).
+    """Anything notified of WM changes (match strategies, the trace emitter).
 
     Implementing ``on_delta(batch: DeltaBatch)`` is optional; listeners
     that do are handed change batches whole on the set-at-a-time path.
@@ -202,51 +202,6 @@ class WorkingMemory:
         wme = table.insert(tuple(values))
         self._notify(Delta(INSERT, wme))
         return wme
-
-    def insert_many(
-        self,
-        class_name: str,
-        rows: list[tuple[Value, ...] | dict[str, Value]],
-    ) -> list[StoredTuple]:
-        """Insert several elements of one class as a unit; returns them.
-
-        Bit-identical to calling :meth:`insert` once per row — tids and
-        timetags are assigned in row order — but the relation and schema
-        are resolved once and, inside a batch scope, all rows join the
-        open batch as a single staged contribution (the act path's
-        same-class ``(make ...)`` runs land here).
-        """
-        table = self.relation(class_name)
-        schema = table.schema
-        prepared: list[tuple[Value, ...]] = [
-            tuple(
-                schema.row_from_mapping(values)
-                if isinstance(values, dict)
-                else values
-            )
-            for values in rows
-        ]
-        if self._staged is None:
-            stored = []
-            for values in prepared:
-                wme = table.insert(values)
-                self._notify(Delta(INSERT, wme))
-                stored.append(wme)
-            return stored
-        clock = self.catalog.clock
-        staged: list[StoredTuple] = []
-        for values in prepared:
-            schema.validate_row(values)
-            wme = StoredTuple(
-                relation=class_name,
-                tid=table.reserve_tid(),
-                timetag=clock.tick(),
-                values=values,
-            )
-            self._staged[(class_name, wme.tid)] = wme
-            self._pending.append(Delta(INSERT, wme))
-            staged.append(wme)
-        return staged
 
     def remove(self, wme: StoredTuple) -> StoredTuple:
         """Delete a WM element and notify listeners; returns the element."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import RuleError
 from repro.lang.ast import (
-    AttributeTest,
     BindAction,
     CallAction,
     ComputeExpr,
@@ -33,7 +32,6 @@ from repro.lang.ast import (
     ModifyAction,
     RemoveAction,
     Rule,
-    Variable,
     VarExpr,
     WriteAction,
 )
@@ -136,13 +134,6 @@ class RuleAnalysis:
                 return tuple(i for i in component if i != index)
         return ()
 
-    def component_of(self, index: int) -> tuple[int, ...]:
-        """The full connected component containing condition *index*."""
-        for component in self.components:
-            if index in component:
-                return component
-        return (index,)
-
     def to_conjuncts(self) -> list[ConjunctSpec]:
         """The whole LHS as a conjunctive query (§4.1 view)."""
         return [c.to_conjunct() for c in self.conditions]
@@ -181,14 +172,6 @@ def _normalize_tests(
                 VariableTest(test.attribute, test.op, test.operand.name)
             )
     return conjunction(constants), tuple(equalities), tuple(residual)
-
-
-def _within_condition_residuals(
-    analyzed: AnalyzedCondition,
-) -> tuple[VariableTest, ...]:
-    """Residual tests whose variable is bound inside the same condition."""
-    bound_here = {v for _, v in analyzed.equalities}
-    return tuple(t for t in analyzed.residual if t.variable in bound_here)
 
 
 def _connected_components(

@@ -245,13 +245,6 @@ class Rule:
                 "one positive condition element is required"
             )
 
-    @property
-    def positive_indices(self) -> tuple[int, ...]:
-        """0-based indices of the positive condition elements."""
-        return tuple(
-            i for i, ce in enumerate(self.condition_elements) if not ce.negated
-        )
-
     def classes(self) -> set[str]:
         """WM classes this rule's LHS mentions."""
         return {ce.class_name for ce in self.condition_elements}

@@ -208,9 +208,6 @@ class MemoryMirror:
                 self._rows[handle] = row.tid
             self._pending_adds = {}
 
-    def cells(self) -> int:
-        return len(self.table) * self.table.schema.arity
-
 
 def _unindex(index: dict, key: tuple, row: int) -> None:
     """Drop *row* from its bucket; an emptied bucket leaves the index."""

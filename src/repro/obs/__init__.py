@@ -12,7 +12,6 @@ benchmarks:
   percentile estimation (cycle, batch-flush, fsync latency);
 * :mod:`repro.obs.sinks` — ring buffer, console, JSON-lines file (with
   size rotation);
-* :mod:`repro.obs.otel` — gated OpenTelemetry bridge (``--otel``);
 * :mod:`repro.obs.manifest` — ``runs/<run_id>/manifest.json`` records;
 * :mod:`repro.obs.flame` — collapsed-stack (flamegraph) folding of span
   streams, for ``repro stats --flamegraph``;
@@ -55,7 +54,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.otel import OtelBridgeSink, make_otel_sink
 from repro.obs.sinks import (
     CallbackSink,
     ConsoleSink,
@@ -172,7 +170,6 @@ __all__ = [
     "NULL_SPAN",
     "NullSpan",
     "Observability",
-    "OtelBridgeSink",
     "PhaseStatsSink",
     "RingBufferSink",
     "RunManifest",
@@ -189,7 +186,6 @@ __all__ = [
     "git_sha",
     "latency_summary",
     "log2_buckets",
-    "make_otel_sink",
     "new_run_id",
     "percentile_from_buckets",
     "program_hash",

@@ -209,11 +209,6 @@ class RecordApplier:
         self.resolver_state = ckpt_state.get("resolver_state")
         self.last_boundary_seq = ckpt["wal_seq"]
 
-    @property
-    def staged_records(self) -> int:
-        """Batch records received but not yet covered by a boundary."""
-        return len(self._staged)
-
     def apply(self, seq: int, kind: str, body: dict) -> bool:
         """Feed one record; returns True when a boundary was applied."""
         if kind == "batch":

@@ -76,9 +76,6 @@ class Interval:
     def contains_key(self, key: Key) -> bool:
         return self.low <= key <= self.high
 
-    def contains(self, other: "Interval") -> bool:
-        return self.low <= other.low and other.high <= self.high
-
     def intersects(self, other: "Interval") -> bool:
         return self.low <= other.high and other.low <= self.high
 

@@ -347,10 +347,6 @@ class RTree:
                 else:
                     yield from self._search_box(entry.child, box)
 
-    def payloads(self) -> set[Any]:
-        """Every indexed payload."""
-        return set(self._payload_entries)
-
 
 def _cover(entries: list[_Entry]) -> Box:
     covering = entries[0].box

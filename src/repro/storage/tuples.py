@@ -29,10 +29,6 @@ class StoredTuple:
     timetag: int
     values: tuple[Value, ...]
 
-    def value(self, schema: RelationSchema, attribute: str) -> Value:
-        """Return this tuple's value for *attribute* under *schema*."""
-        return self.values[schema.position(attribute)]
-
     def as_mapping(self, schema: RelationSchema) -> dict[str, Value]:
         """Return ``{attribute: value}`` for display and debugging."""
         return dict(zip(schema.attributes, self.values))

@@ -81,10 +81,6 @@ class LockManager:
 
     # -- queries ---------------------------------------------------------------
 
-    def holders(self, target: Target) -> dict[int, str]:
-        """Current holders of *target* as ``{txn: mode}``."""
-        return dict(self._holders.get(target, {}))
-
     def held_by(self, txn_id: int) -> set[Target]:
         """All targets *txn_id* currently holds."""
         return set(self._held.get(txn_id, set()))

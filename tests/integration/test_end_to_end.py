@@ -5,8 +5,6 @@ import pytest
 from repro import (
     ConcurrentScheduler,
     ProductionSystem,
-    TriggerManager,
-    ViewManager,
     is_serializable,
 )
 from repro.match import STRATEGIES
@@ -55,26 +53,6 @@ def test_example5_trace_through_the_facade():
     assert len(system.conflict_set) == 0
     system.insert(*EXAMPLE5_INSERTS[-1])
     assert len(system.conflict_set) == 1
-
-
-def test_rules_views_and_triggers_share_one_wm():
-    """Rules fire, a view stays consistent, and triggers alert — all off
-    the same working memory, as the paper's unified framing promises."""
-    system = ProductionSystem(PAYROLL, resolution="fifo")
-    views = ViewManager(system.wm)
-    paid = views.create("paid", "(Payout ^name <N> ^amount <A>)", ["N", "A"])
-    triggers = TriggerManager(system.wm)
-    triggers.define_alerter("low-budget", "(Dept ^budget < 100)")
-
-    system.insert("Dept", {"dno": 1, "budget": 300})
-    system.insert("Emp", {"name": "Mike", "salary": 100, "dno": 1})
-    system.insert("Emp", {"name": "Sam", "salary": 150, "dno": 1})
-    system.run()
-
-    assert paid.rows() == {("Mike", 100), ("Sam", 150)}
-    assert paid.rows() == paid.refresh_from_scratch()
-    satisfied = [a for a in triggers.alerts if a.kind == "satisfied"]
-    assert len(satisfied) == 1  # budget dropped 300 -> 50
 
 
 def test_concurrent_and_serial_agree_end_to_end():

@@ -86,3 +86,14 @@ def test_campaign_smoke():
     assert report.traces_run == 4
     assert report.crashes_fired >= 1
     assert "OK" in report.summary()
+
+
+def test_checkpointed_txn_cells_cut_a_checkpoint():
+    """A durable run counts a §5.2 round as one cycle and a txn trace runs
+    only a few rounds, so a checkpointed txn cell checkpoints every
+    round: each one's dry run crosses ``checkpoint.mid``."""
+    report = run_crash_check(budget=6, seed=0, exec_modes=("txn",))
+    assert report.ok
+    assert report.checkpointed == 3
+    assert report.checkpoints_cut == report.checkpointed
+    assert "3/3 checkpointed traces cut a checkpoint" in report.summary()

@@ -335,16 +335,6 @@ class TestRunXrayFlags:
         assert main(["run", program_file, "--lineage"]) == 0
         assert "3 cycles" in capsys.readouterr().out
 
-    def test_otel_without_the_sdk_warns_and_continues(self, program_file,
-                                                      capsys, monkeypatch):
-        import sys as sys_
-
-        monkeypatch.setitem(sys_.modules, "opentelemetry", None)
-        assert main(["run", program_file, "--otel"]) == 0
-        captured = capsys.readouterr()
-        assert "opentelemetry" in captured.err
-        assert "3 cycles" in captured.out
-
     def test_trace_rotation_produces_segments(self, program_file, tmp_path,
                                               capsys):
         trace = tmp_path / "trace.jsonl"

@@ -59,7 +59,6 @@ class TestPublicApi:
             "repro.match",
             "repro.engine",
             "repro.txn",
-            "repro.views",
             "repro.workload",
             "repro.bench",
             "repro.cli",
