@@ -141,7 +141,8 @@ def pattern_index_faults(strategy) -> list[str]:
     what every shape table and every registered partial-key table must
     hold, and compares: no zombie or missing pattern, shape tables and
     buckets in serial order, no empty table or bucket, serials strictly
-    increasing, the template present.  Empty when healthy.
+    increasing, the template present, and every pattern's Mark word equal
+    to the bits of its non-empty support sets.  Empty when healthy.
     """
     faults = []
     for class_name, store in sorted(strategy.stores.items()):
@@ -155,6 +156,15 @@ def pattern_index_faults(strategy) -> list[str]:
                 faults.append(f"{name}: serials {serials}")
             if [p.restrictions for p in patterns] != list(group.patterns):
                 faults.append(f"{name}: group keys")
+            for pattern in patterns:
+                bits = sum(
+                    1 << k for k, bucket in pattern.supports.items() if bucket
+                )
+                if pattern.mask != bits:
+                    faults.append(
+                        f"{name}: mask {pattern.mask:b} of "
+                        f"{pattern.restrictions}, supports {bits:b}"
+                    )
             template = group.template
             if group.patterns.get(template.restrictions) is not template:
                 faults.append(f"{name}: template missing")

@@ -10,7 +10,10 @@ joinable with future arrivals matching the restrictions.
 Marks are counters, as §4.2.2 recommends ("Mark bits can easily be replaced
 by counters to record the number of contributing tuples"), and for a
 *negated* related condition the sense is inverted (§4.2.2): the counter
-counts blockers and the mark is satisfied while it is zero.
+counts blockers and the mark is satisfied while it is zero.  The Mark
+column itself is one integer word derived from the counters, bit *k* set
+while related condition *k* has any contributor, so every mark test is a
+mask operation.
 """
 
 from __future__ import annotations
@@ -109,6 +112,19 @@ def slot_display(slot: Slot) -> str:
 WmeKey = tuple[str, int]
 
 
+def rce_masks(
+    rce: tuple[int, ...], negated_indices: frozenset[int]
+) -> tuple[int, int]:
+    """(positive, negated) related conditions of *rce* as Mark-word bits."""
+    positive = negated = 0
+    for k in rce:
+        if k in negated_indices:
+            negated |= 1 << k
+        else:
+            positive |= 1 << k
+    return positive, negated
+
+
 @dataclass(eq=False)
 class PatternTuple:
     """One row of a COND relation in the matching-pattern scheme.
@@ -120,6 +136,8 @@ class PatternTuple:
         restrictions: Per-attribute restriction slots.
         rce: 0-based indices of the related condition elements.
         supports: Per-related-condition sets of contributing WM elements.
+            Change them only through :meth:`add_support` and
+            :meth:`remove_support`, which keep ``mask`` in step.
             §4.2.2's counters "record the number of contributing tuples";
             recording the contributors themselves makes deletion exact: a
             "−" token removes precisely the support its "+" token added,
@@ -127,6 +145,10 @@ class PatternTuple:
             paper's counter is ``len(supports[k])``; the Mark bit is
             ``len > 0`` for a positive related condition and ``len == 0``
             (no blockers) for a negated one.
+        mask: The Mark column as one word: bit ``k`` is set exactly when
+            ``supports[k]`` is non-empty (read with the inverted sense for
+            a negated related condition).  Derived from the counters and
+            changed only when a support set empties or stops being empty.
         original: True for the row created at rule-compilation time (these
             are never garbage-collected).
         approximate: True once folding compaction has unioned a narrower
@@ -150,6 +172,7 @@ class PatternTuple:
     original: bool = False
     approximate: bool = False
     serial: int = 0
+    mask: int = 0
 
     @property
     def index(self) -> int:
@@ -165,6 +188,7 @@ class PatternTuple:
         if contributor in bucket:
             return False
         bucket.add(contributor)
+        self.mask |= 1 << rce_index
         return True
 
     def remove_support(self, rce_index: int, contributor: WmeKey) -> bool:
@@ -173,6 +197,8 @@ class PatternTuple:
         if bucket is None or contributor not in bucket:
             return False
         bucket.discard(contributor)
+        if not bucket:
+            self.mask &= ~(1 << rce_index)
         return True
 
     def mark_bits(self, negated_indices: frozenset[int]) -> str:
@@ -188,26 +214,16 @@ class PatternTuple:
 
     def is_full(self, negated_indices: frozenset[int]) -> bool:
         """All marks set: every positive RCE supported, no negated blocked."""
-        for rce_index in self.rce:
-            count = self.count(rce_index)
-            if rce_index in negated_indices:
-                if count > 0:
-                    return False
-            elif count == 0:
-                return False
-        return True
+        positive, negated = rce_masks(self.rce, negated_indices)
+        return self.mask & (positive | negated) == positive
 
     def blocks(self, negated_indices: frozenset[int]) -> bool:
         """True when some negated related condition currently has a witness."""
-        return any(
-            self.count(rce_index) > 0
-            for rce_index in self.rce
-            if rce_index in negated_indices
-        )
+        return bool(self.mask & rce_masks(self.rce, negated_indices)[1])
 
     def all_zero(self) -> bool:
         """No support left from any related condition."""
-        return all(not bucket for bucket in self.supports.values())
+        return not self.mask
 
     def display_row(
         self, schema: RelationSchema, negated_indices: frozenset[int]

@@ -332,6 +332,7 @@ class PatternStore:
             supports={k: set(v) for k, v in source.supports.items()},
             original=False,
             approximate=source.approximate,
+            mask=source.mask,
         )
         group.add(pattern)
         self.counters.patterns_created += 1
@@ -437,6 +438,7 @@ class PatternStore:
                 target.supports.setdefault(rce_index, set()).update(bucket)
                 if on_transfer is not None:
                     on_transfer(target, rce_index, frozenset(bucket))
+            target.mask |= victim.mask
             # The target's counters now over-claim joinability for the
             # victim's narrower bindings; flag it so mark-based pruning
             # stops trusting them (completeness over precision).

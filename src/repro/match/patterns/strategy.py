@@ -15,6 +15,11 @@ Paper-mandated refinements implemented here:
 * inverted marks for negated condition elements (§4.2.2): their counter
   counts blockers and the mark is "set" while it is zero.
 
+Every mark test reads the pattern's Mark word (``PatternTuple.mask``, bit
+*k* set while related condition *k* has a contributor) against masks fixed
+at compile time: per propagation edge the shared third-party conditions,
+per condition element its positive and negated related conditions.
+
 Exactness: a matching pattern "does not store pointers to ... the actual
 tuples of the WM relations.  These tuples must be selected before executing
 the RHS actions" (§5.1).  That selection runs immediately when a pattern
@@ -38,6 +43,7 @@ from repro.match.patterns.pattern import (
     PatternTuple,
     Restrictions,
     WmeKey,
+    rce_masks,
     specialize,
 )
 from repro.match.patterns.store import PatternStore, make_stores
@@ -52,9 +58,25 @@ class _Link(NamedTuple):
     cen: int  # the related condition's CEN
     store: PatternStore  # ... and its class's COND relation
     template: Restrictions  # the related condition's original row
-    #: Third-party positive conditions related to both ends — the marks
-    #: §4.2.2's compatibility check compares.
-    shared: tuple[int, ...]
+    #: Third-party positive conditions related to both ends, as Mark-word
+    #: bits — the marks §4.2.2's compatibility check compares.
+    shared_mask: int
+
+
+class _Condition(NamedTuple):
+    """One condition element and its Mark-word masks."""
+
+    analysis: RuleAnalysis
+    condition: AnalyzedCondition
+    store: PatternStore  # its class's COND relation
+    #: Its positive related conditions ...
+    positive: int
+    #: ... and all its related conditions: a pattern of it is full when
+    #: ``mask & marks == positive``.
+    marks: int
+    #: Related conditions whose last blocker leaving can make it full: the
+    #: rule's negated ones, none for a negated condition element.
+    unblocking: int
 
 
 class MatchingPatternsStrategy(MatchStrategy):
@@ -76,6 +98,8 @@ class MatchingPatternsStrategy(MatchStrategy):
             store.checks = self._checks
         self._by_class: dict[str, list[tuple[RuleAnalysis, AnalyzedCondition]]] = {}
         self._negated_indices: dict[str, frozenset[int]] = {}
+        # (rid, cen) -> the condition element with its Mark-word masks.
+        self._conditions: dict[tuple[str, int], _Condition] = {}
         # (rid, condition index) -> propagation edges, in RCE order.
         self._links: dict[tuple[str, int], list[_Link]] = {}
         # (wme key) -> {(pattern, rce index)} reverse map for exact deletion,
@@ -101,6 +125,19 @@ class MatchingPatternsStrategy(MatchStrategy):
                 self._by_class.setdefault(condition.class_name, []).append(
                     (analysis, condition)
                 )
+                positive, blockers = rce_masks(
+                    analysis.related_conditions(condition.index), negated
+                )
+                self._conditions[(analysis.name, condition.cond_number)] = (
+                    _Condition(
+                        analysis,
+                        condition,
+                        self.stores[condition.class_name],
+                        positive,
+                        positive | blockers,
+                        0 if condition.negated else blockers,
+                    )
+                )
                 links = self._links[(analysis.name, condition.index)] = []
                 for index in analysis.related_conditions(condition.index):
                     related = analysis.conditions[index]
@@ -118,18 +155,15 @@ class MatchingPatternsStrategy(MatchStrategy):
         negated: frozenset[int],
     ) -> _Link:
         store = self.stores[related.class_name]
-        related_rce = analysis.related_conditions(related.index)
+        ours = rce_masks(analysis.related_conditions(condition.index), negated)
+        theirs = rce_masks(analysis.related_conditions(related.index), negated)
         return _Link(
             cen=related.cond_number,
             store=store,
             template=store.template(
                 analysis.name, related.cond_number
             ).restrictions,
-            shared=tuple(
-                index
-                for index in analysis.related_conditions(condition.index)
-                if index in related_rce and index not in negated
-            ),
+            shared_mask=ours[0] & theirs[0],
         )
 
     # -- WM change entry points ------------------------------------------------
@@ -239,30 +273,29 @@ class MatchingPatternsStrategy(MatchStrategy):
         """
         self.conflict_set.remove_wme(wme)
         contributor: WmeKey = (wme.relation, wme.tid)
+        conditions = self._conditions
+        profile = self._event_profile
+        updated = 0
         for pattern, rce_index in self._support_index.pop(contributor, ()):
-            analysis = self.analyses[pattern.rid]
-            negated = self._negated_indices[pattern.rid]
-            condition = analysis.conditions[pattern.index]
-            unblocks = rce_index in negated and not condition.negated
-            was_full = unblocks and pattern.is_full(negated)
+            entry = conditions[(pattern.rid, pattern.cen)]
+            marks, positive = entry.marks, entry.positive
+            unblocks = entry.unblocking >> rce_index & 1
+            was_full = unblocks and pattern.mask & marks == positive
             if not pattern.remove_support(rce_index, contributor):
                 continue
-            self.counters.patterns_updated += 1
-            self._tally_maintenance(condition.class_name)
+            updated += 1
+            store = entry.store
+            profile[store.class_name] = profile.get(store.class_name, 0) + 1
             if unblocks and (
                 pattern.approximate
-                or (not was_full and pattern.is_full(negated))
+                or (not was_full and pattern.mask & marks == positive)
             ):
-                fired[id(pattern)] = (analysis, condition, pattern)
-            if pattern.all_zero() and not pattern.original:
-                self.stores[condition.class_name].discard(pattern)
+                fired[id(pattern)] = (entry.analysis, entry.condition, pattern)
+            if not pattern.mask and not pattern.original:
+                store.discard(pattern)
+        self.counters.patterns_updated += updated
 
     # -- §4.2.3 parallelism accounting ------------------------------------------
-
-    def _tally_maintenance(self, class_name: str) -> None:
-        self._event_profile[class_name] = (
-            self._event_profile.get(class_name, 0) + 1
-        )
 
     def _close_event_profile(self) -> None:
         if not self._event_profile:
@@ -306,25 +339,41 @@ class MatchingPatternsStrategy(MatchStrategy):
         groups: each group is searched once and only the §4.2.2 mark test
         runs per source.  A pattern an earlier source creates here is not
         shown to a later one — it already carries this contributor's
-        support, so revisiting it could only be a no-op.
+        support, so revisiting it could only be a no-op.  For the same
+        reason a source is skipped when its unset shared marks include an
+        earlier source's: every target it accepts, the earlier one did.
         """
         rid = analysis.name
         index = condition.index
+        profile = self._event_profile
+        entries = None  # this contributor's reverse-index entries
         for link in self._links[(rid, index)]:
             store = link.store
             hits = store.compatible_with(
                 rid, link.cen, specialize(link.template, bindings)
             )
+            if not hits:
+                continue
+            added = 0
+            done: list[int] = []
             for source in sources:
+                # §4.2.2: "each Mark bit must be set in T if the
+                # corresponding Mark bit is set in the matching tuple M"
+                # over the shared marks; *unmarked* holds those not set in
+                # M.  An approximate target (folding compaction) carries
+                # inflated marks that prove nothing, so it always passes:
+                # pruning on it could lose the only row able to accept a
+                # later contributor's support.
                 unmarked = (
-                    [k for k in link.shared if not source.supports.get(k)]
+                    link.shared_mask & ~source.mask
                     if check_compatibility
-                    else ()
+                    else 0
                 )
+                if any(seen & ~unmarked == 0 for seen in done):
+                    continue
+                done.append(unmarked)
                 for target, merged in hits:
-                    if unmarked and not self._marks_compatible(
-                        unmarked, target
-                    ):
+                    if target.mask & unmarked and not target.approximate:
                         continue
                     if merged is target.restrictions:
                         adjusted = target
@@ -335,9 +384,16 @@ class MatchingPatternsStrategy(MatchStrategy):
                         if created:
                             self._register_copied_supports(adjusted)
                     if adjusted.add_support(index, contributor):
-                        self.counters.patterns_updated += 1
-                        self._tally_maintenance(store.class_name)
-                        self._index_support(contributor, adjusted, index)
+                        added += 1
+                        if entries is None:
+                            entries = self._support_index.setdefault(
+                                contributor, {}
+                            )
+                        entries[(adjusted, index)] = None
+            if added:
+                self.counters.patterns_updated += added
+                name = store.class_name
+                profile[name] = profile.get(name, 0) + added
 
     def _register_copied_supports(self, pattern: PatternTuple) -> None:
         """Index the contributors a freshly-created pattern inherited."""
@@ -371,37 +427,12 @@ class MatchingPatternsStrategy(MatchStrategy):
         also enforces negated conditions, so over-admission costs only a
         counted false drop.
         """
-        negated = self._negated_indices[analysis.name]
-        for related_index in analysis.related_conditions(condition.index):
-            if related_index in negated:
-                continue
-            if not any(p.count(related_index) > 0 for p in matched):
-                return False
-        return True
-
-    @staticmethod
-    def _marks_compatible(unmarked: list[int], target: PatternTuple) -> bool:
-        """§4.2.2: "each Mark bit must be set in T if the corresponding Mark
-        bit is set in the matching tuple M" — over the third-party positive
-        related conditions the two patterns share (``_Link.shared``).
-        *unmarked* lists those whose mark is not set in M; the caller skips
-        the test when there are none.
-
-        A target made *approximate* by folding compaction carries inflated
-        counters, so a set mark on it no longer proves binding-consistent
-        support; pruning on it would lose completeness (a specialization
-        the inflated mark suppresses may be the only row able to accept a
-        later contributor's support).  Approximate targets are therefore
-        always accepted — the cost is extra patterns and counted false
-        drops, never a missed match.
-        """
-        if target.approximate:
-            return True
-        supports = target.supports
-        for index in unmarked:
-            if supports.get(index):
-                return False
-        return True
+        entry = self._conditions[(analysis.name, condition.cond_number)]
+        positive = entry.positive
+        union = 0
+        for pattern in matched:
+            union |= pattern.mask
+        return union & positive == positive
 
     # -- act-time selection (§5.1) -----------------------------------------------
 

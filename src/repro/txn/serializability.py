@@ -12,11 +12,14 @@ schedule", §5.2).
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.txn.locks import Target
+
+#: A conflict graph: every transaction mapped to its successors.
+Graph = dict[int, set[int]]
 
 
 @dataclass(frozen=True)
@@ -56,22 +59,49 @@ class History:
         return seen
 
 
-def conflict_graph(history: History) -> nx.DiGraph:
+def conflict_graph(history: History) -> Graph:
     """Build the conflict graph: edge Ti -> Tj when an op of Ti precedes a
-    conflicting op of Tj."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(history.transactions())
+    conflicting op of Tj.  Nodes are in first-appearance order."""
+    graph: Graph = {txn: set() for txn in history.transactions()}
     ops = history.operations
     for i, earlier in enumerate(ops):
         for later in ops[i + 1:]:
             if earlier.conflicts_with(later):
-                graph.add_edge(earlier.txn_id, later.txn_id)
+                graph[earlier.txn_id].add(later.txn_id)
     return graph
+
+
+def _predecessors(graph: Graph) -> Graph:
+    predecessors: Graph = {node: set() for node in graph}
+    for node, successors in graph.items():
+        for successor in successors:
+            predecessors[successor].add(node)
+    return predecessors
+
+
+def _topological_order(
+    graph: Graph, key: Callable[[int], object]
+) -> list[int] | None:
+    """Kahn's algorithm taking the ready node of smallest *key* first (the
+    lexicographic topological order); ``None`` when the graph has a
+    cycle.  Keys must be distinct."""
+    indegree = {node: len(p) for node, p in _predecessors(graph).items()}
+    ready = [(key(node), node) for node, n in indegree.items() if n == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, node = heapq.heappop(ready)
+        order.append(node)
+        for successor in graph[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, (key(successor), successor))
+    return order if len(order) == len(graph) else None
 
 
 def is_serializable(history: History) -> bool:
     """Conflict-serializability test: acyclic conflict graph."""
-    return nx.is_directed_acyclic_graph(conflict_graph(history))
+    return _topological_order(conflict_graph(history), key=int) is not None
 
 
 def equivalent_serial_order(history: History) -> list[int]:
@@ -80,15 +110,14 @@ def equivalent_serial_order(history: History) -> list[int]:
     Ties (unordered transactions) are broken by commit order so the result
     is the "natural" serialization witness.
     """
-    graph = conflict_graph(history)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise ValueError("history is not serializable")
     position = {t: i for i, t in enumerate(history.commit_order)}
-    return list(
-        nx.lexicographical_topological_sort(
-            graph, key=lambda t: (position.get(t, len(position)), t)
-        )
+    order = _topological_order(
+        conflict_graph(history),
+        key=lambda t: (position.get(t, len(position)), t),
     )
+    if order is None:
+        raise ValueError("history is not serializable")
+    return order
 
 
 def count_equivalent_serial_orders(history: History, cap: int = 12) -> int:
@@ -99,14 +128,14 @@ def count_equivalent_serial_orders(history: History, cap: int = 12) -> int:
     so histories with more than *cap* transactions raise ValueError.
     """
     graph = conflict_graph(history)
-    if not nx.is_directed_acyclic_graph(graph):
+    if _topological_order(graph, key=int) is None:
         raise ValueError("history is not serializable")
-    nodes = list(graph.nodes)
+    nodes = list(graph)
     if len(nodes) > cap:
         raise ValueError(
             f"too many transactions to count orders ({len(nodes)} > {cap})"
         )
-    predecessors = {n: set(graph.predecessors(n)) for n in nodes}
+    predecessors = _predecessors(graph)
     index = {n: i for i, n in enumerate(nodes)}
     full_mask = (1 << len(nodes)) - 1
     memo: dict[int, int] = {full_mask: 1}

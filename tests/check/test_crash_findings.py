@@ -18,9 +18,11 @@ from repro.check import (
 )
 from repro.engine import ProductionSystem
 from repro.match import STRATEGIES
+from repro.match.patterns import PatternTuple
 from repro.match.rete import ReteStrategy
 
 REFRACTION = next(p for p in PROFILES if p.name == "refraction")
+NEGATION = next(p for p in PROFILES if p.name == "negation")
 
 
 def _retract_keeping_buckets(amem, retract, wme):
@@ -74,6 +76,47 @@ class TestIndexHealth:
         assert divergence is not None
         assert divergence.kind == "rete-index"
         assert divergence.sync_point == ("cycle", 1)
+
+
+def _remove_keeping_the_bit(pattern, rce_index, contributor):
+    """``PatternTuple.remove_support`` that empties a support set but
+    leaves its Mark-word bit set."""
+    bucket = pattern.supports.get(rce_index)
+    if bucket is None or contributor not in bucket:
+        return False
+    bucket.discard(contributor)
+    return True
+
+
+class TestMarkWordHealth:
+    #: A cycle-mode patterns cell crashed at a pinned site.
+    CELL = {
+        "strategy": "patterns", "backend": "memory", "per_op": False,
+        "checkpoint_every": 0, "exec_mode": "cycle", "site": "commit.post",
+        "after": 2,
+    }
+
+    def test_healthy_run_is_clean(self):
+        trace = generate_trace(0, PROFILES.index(NEGATION))
+        divergence, _ = run_crash_trace(trace, **self.CELL)
+        assert divergence is None
+
+    def test_stale_mark_bit_is_found_and_shrunk(self, monkeypatch):
+        """A withdrawal that leaves the bit set keeps every support set
+        right, so only the Mark-word health check sees it at first; the
+        finding shrinks under its own cell to a trace that still fails."""
+        monkeypatch.setattr(
+            PatternTuple, "remove_support", _remove_keeping_the_bit
+        )
+        trace = generate_trace(0, PROFILES.index(NEGATION))
+        divergence, _ = run_crash_trace(trace, **self.CELL)
+        assert divergence is not None
+        assert divergence.kind == "pattern-index"
+        assert "mask" in divergence.detail
+        failing = crash_predicate(self.CELL)
+        shrunk = shrink(trace, failing)
+        assert len(shrunk.ops) < len(trace.ops)
+        assert failing(shrunk)
 
 
 def _drop_every_refraction_key(system):

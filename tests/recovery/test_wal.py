@@ -8,10 +8,12 @@ from repro.delta import Delta, DeltaBatch
 from repro.errors import RecoveryError, WalCorruptError
 from repro.recovery import WalWriter, read_wal
 from repro.recovery.wal import (
+    _crc,
     decode_batch,
     decode_fired,
     encode_batch,
     encode_fired,
+    encode_record,
 )
 from repro.storage.tuples import StoredTuple
 
@@ -37,6 +39,52 @@ class TestCodecs:
         triple = (4, "r1", ("r1", (("item", 7), None, ("other", 2))))
         wire = json.loads(json.dumps(encode_fired(triple)))
         assert decode_fired(wire) == triple
+
+
+def two_dump_line(seq, kind, body):
+    """A log line as the record dict dumped whole, the CRC from a second
+    dump of the same record."""
+    record = {"seq": seq, "kind": kind, "body": body, "crc": _crc(seq, kind, body)}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+#: One body per record kind, with values whose encoding could drift:
+#: non-ASCII text, negative zero, huge floats, nil, booleans, nesting.
+RECORD_BODIES = [
+    ("meta", {"version": 1, "program": "(p r (Ünïcode ^x <x>) --> (halt))",
+              "strategy": "patterns", "seed": None}),
+    ("batch", encode_batch(DeltaBatch([
+        Delta("insert", wme(values=("naïve", -0.0, 1e300, None, True))),
+        Delta("delete", wme(tid=2, values=(False, "日本", -1e-300, 7))),
+    ]))),
+    ("boundary", {"cycle": 3, "fired": [[4, "r1", [["a", 1], None]]],
+                  "extra": {"z": {"b": [1.5, -0.0], "a": "✓"}, "ok": True,
+                            "none": None, "big": 1e300}}),
+]
+
+
+class TestRecordEncoding:
+    @pytest.mark.parametrize("kind, body", RECORD_BODIES)
+    def test_one_dump_equals_two_dumps(self, kind, body):
+        for seq in (1, 12, 123456789):
+            assert encode_record(seq, kind, body) == two_dump_line(seq, kind, body)
+
+    def test_written_log_is_byte_identical(self, tmp_path):
+        path = str(tmp_path / "run.wal")
+        writer = WalWriter.create(path)
+        for kind, body in RECORD_BODIES:
+            writer.append(kind, body)
+        writer.close()
+        expected = "".join(
+            two_dump_line(seq, kind, body)
+            for seq, (kind, body) in enumerate(RECORD_BODIES, start=1)
+        )
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == expected
+        result = read_wal(path)
+        assert [(r.kind, r.body) for r in result.records] == [
+            (kind, json.loads(json.dumps(body))) for kind, body in RECORD_BODIES
+        ]
 
 
 class TestWriterAndReader:

@@ -1,6 +1,9 @@
 """Public-API quality gates: exports resolve and carry documentation."""
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,17 @@ class TestPublicApi:
     )
     def test_subpackages_import(self, module):
         __import__(module)
+
+
+def test_cli_import_leaves_out_undeclared_packages():
+    """``repro.cli`` loads nothing the package does not declare: the
+    conflict-graph code of :mod:`repro.txn` is plain dictionaries, so
+    ``networkx`` never loads (nor has to be installed)."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
